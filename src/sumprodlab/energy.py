@@ -209,15 +209,21 @@ class ShiftBoundReport:
 def shift_intersection_report(a: ArithSet, alpha) -> ShiftBoundReport:
     """Shift overlap paired with the doubling-driven upper bound check."""
     overlap = shift_intersection(a, alpha)
-    m = multiplicative_doubling(a)
-    bound_cubed = m**4 * Fraction(len(a)) ** 2
+    return shift_bound_report(a, alpha, overlap, multiplicative_doubling(a))
+
+
+def shift_bound_report(
+    a: ArithSet, alpha, overlap: int, doubling: Fraction
+) -> ShiftBoundReport:
+    """The bound check for a known overlap |A ∩ (A+α)| and doubling M of A."""
+    bound_cubed = doubling**4 * Fraction(len(a)) ** 2
     holds = Fraction(overlap) ** 3 <= bound_cubed
     from .field import coerce_element
 
     return ShiftBoundReport(
         alpha=coerce_element(alpha, a.p),
         overlap=overlap,
-        doubling=m,
+        doubling=doubling,
         bound_cubed=bound_cubed,
         bound_ceiling=_cube_root_ceil(bound_cubed),
         bound_float=float(bound_cubed) ** (1.0 / 3.0),

@@ -115,9 +115,13 @@ class LKProfile:
         return math.ceil(Fraction(self.edges**2, self.basis_size**3))
 
 
+class UndefinedProfile(ValueError):
+    """Raised when a containment graph has no edge, so L = |A|/e is undefined."""
+
+
 def lk_profile(graph: ContainmentGraph) -> LKProfile:
     if graph.edges == 0:
-        raise ValueError("no pair of B sums into A; the (L, K) profile is undefined")
+        raise UndefinedProfile("no pair of B sums into A; the (L, K) profile is undefined")
     return LKProfile(
         basis_size=len(graph.basis),
         target_size=len(graph.target),

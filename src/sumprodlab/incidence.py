@@ -34,6 +34,10 @@ DEFAULT_PAIR_CEILING = 100_000_000
 DEFAULT_BRUTE_CEILING = 5_000_000
 
 
+class RouteDisagreement(RuntimeError):
+    """Raised when two exact counting routes give different answers."""
+
+
 @dataclass(frozen=True, order=True)
 class LineKey:
     """Canonical coefficients (a, b, c) of the line a*x + b*y = c.
@@ -276,7 +280,7 @@ def sextuple_collinearity_count(
                 nondeg += 1
     check = collinear_triples(a, a, a)
     if check != nondeg:
-        raise RuntimeError(
+        raise RouteDisagreement(
             f"route disagreement: line grouping gave {check}, enumeration {nondeg}"
         )
     return total, nondeg

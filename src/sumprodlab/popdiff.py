@@ -15,6 +15,7 @@ generating explicit additive quadruples (y, yx, y a1, y a2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .field import CeilingExceeded, FieldElement
 from .sets import DEFAULT_ELEMENT_CEILING, ArithSet, product_set, ratio_set
@@ -106,7 +107,10 @@ def build_popular_ratios(
     ratios = ArithSet(multiplicity.keys(), p=b.p)
     total = sum(multiplicity.values())
     cs_ok = total * total <= len(ratios) * collision_count
-    within = all(x in _target_ratio_set(a, ceiling) for x in ratios)
+    within = True
+    if len(ratios):
+        target = _target_ratio_set(a, ceiling)
+        within = all(x in target for x in ratios)
     return PopDiffCertificate(
         ratios=ratios,
         multiplicity=multiplicity,
@@ -205,15 +209,21 @@ def quadruple_energy_bound(
     y: ArithSet,
     x: ArithSet,
     r: ArithSet,
-    n: int,
+    n: int | None = None,
     ceiling: int | None = DEFAULT_ELEMENT_CEILING,
 ) -> QuadrupleBound:
     """Check E_+(Y X) >= N |Y| |R| by building the witnessing quadruples.
 
     Preconditions -- 1 in X, R a subset of X, every element of R giving at
     least N solutions to 1 - x = a1 - a2 over X^2, and 0 not in Y -- are
-    verified and reported individually rather than assumed.
+    verified and reported individually rather than assumed.  ``n`` defaults
+    to the least solution count over R (0 when R is empty).
+
+    E_+(YX) is computed first: its ceilings are the only ones on this path,
+    so an instance they refuse costs no solution counting.
     """
+    yx = product_set(y, x, ceiling)
+    energy = additive_energy(yx, ceiling)
     errors = []
     from .field import coerce_element
 
@@ -225,6 +235,8 @@ def quadruple_energy_bound(
     if y.contains_zero():
         errors.append("0 is in Y")
     solution_counts = {el: one_minus_x_solutions(el, x) for el in r}
+    if n is None:
+        n = min(solution_counts.values(), default=0)
     short = [el for el, cnt in solution_counts.items() if cnt < n]
     if short:
         errors.append(f"{len(short)} element(s) of R have fewer than {n} solutions")
@@ -235,9 +247,6 @@ def quadruple_energy_bound(
             for yv in y:
                 quadruples.add((yv, yv * el, yv * a1, yv * a2))
     expected = n * len(y) * len(r)
-
-    yx = product_set(y, x, ceiling)
-    energy = additive_energy(yx, ceiling)
     floor = n * len(y) * len(r)
     return QuadrupleBound(
         energy=energy,
@@ -258,7 +267,9 @@ class RatioSets:
 
     The values 0 and 1 are excluded, as are tuples with a vanishing
     denominator; the witness maps record the lexicographically first
-    generating tuple of each surviving value.
+    generating tuple of each surviving value.  ``total_x`` counts the
+    surviving generating tuples of X and ``collisions_x`` is
+    Q_X = sum over x of (tuples giving x)^2; likewise for Y.
     """
 
     x_set: ArithSet
@@ -267,14 +278,30 @@ class RatioSets:
     y_witness: dict = field(repr=False)
     skipped_x: int = 0
     skipped_y: int = 0
+    total_x: int = 0
+    total_y: int = 0
+    collisions_x: int = 0
+    collisions_y: int = 0
 
 
-def _directed_ratios(first: ArithSet, second: ArithSet):
+class _RatioWalk(NamedTuple):
+    """One walk over first^2 x second: the first generating tuple of each
+    value, the degenerate tuples dropped, the surviving tuples, and the sum
+    of squared tuple counts per value."""
+
+    witness: dict
+    skipped: int
+    total: int
+    collisions: int
+
+
+def _directed_ratios(first: ArithSet, second: ArithSet) -> _RatioWalk:
     """Values (f1 + s)/(f2 + s) over f1, f2 in first, s in second."""
     from .field import coerce_element
 
     one = coerce_element(1, first.p)
     witness = {}
+    counts: dict[FieldElement, int] = {}
     skipped = 0
     for f1 in first:
         for f2 in first:
@@ -287,9 +314,15 @@ def _directed_ratios(first: ArithSet, second: ArithSet):
                 if not val or val == one:
                     skipped += 1
                     continue
-                if val not in witness:
+                got = counts.get(val)
+                if got is None:
                     witness[val] = (f1, f2, s)
-    return witness, skipped
+                    counts[val] = 1
+                else:
+                    counts[val] = got + 1
+    total = sum(counts.values())
+    collisions = sum(g * g for g in counts.values())
+    return _RatioWalk(witness, skipped, total, collisions)
 
 
 def build_ratio_sets(b: ArithSet, c: ArithSet) -> RatioSets:
@@ -300,15 +333,20 @@ def build_ratio_sets(b: ArithSet, c: ArithSet) -> RatioSets:
         from .field import ModeMismatchError
 
         raise ModeMismatchError(f"modes {b.mode} and {c.mode} cannot mix")
-    x_witness, skipped_x = _directed_ratios(b, c)
-    y_witness, skipped_y = _directed_ratios(c, b)
+    x = _directed_ratios(b, c)
+    # With C = B the two walks coincide tuple for tuple.
+    y = x if c == b else _directed_ratios(c, b)
     return RatioSets(
-        x_set=ArithSet(x_witness.keys(), p=b.p),
-        y_set=ArithSet(y_witness.keys(), p=b.p),
-        x_witness=x_witness,
-        y_witness=y_witness,
-        skipped_x=skipped_x,
-        skipped_y=skipped_y,
+        x_set=ArithSet(x.witness.keys(), p=b.p),
+        y_set=ArithSet(y.witness.keys(), p=b.p),
+        x_witness=x.witness,
+        y_witness=y.witness,
+        skipped_x=x.skipped,
+        skipped_y=y.skipped,
+        total_x=x.total,
+        total_y=y.total,
+        collisions_x=x.collisions,
+        collisions_y=y.collisions,
     )
 
 

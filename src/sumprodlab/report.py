@@ -22,7 +22,13 @@ from pathlib import Path
 
 from .families import FamilySpec, generate
 from .sets import ArithSet
-from .verify import SLOPE_TARGETS, CheckRecord, fit_loglog_slope, run_claim
+from .verify import (
+    INSTANCE_FREE,
+    SLOPE_TARGETS,
+    CheckRecord,
+    fit_loglog_slope,
+    run_claim,
+)
 
 
 def jsonable(obj):
@@ -72,15 +78,21 @@ def run_suite(
 
     Returns (rows, summary): rows are flat dicts matching the CSV schema
     plus the instance label; the summary carries per-claim fitted log-log
-    slopes against the instance sizes.
+    slopes against the instance sizes.  Instance-free claims run once per
+    call; every family's row reuses that record.
     """
     options = options or {}
     rows = []
+    shared: dict[str, CheckRecord] = {}
     for spec in specs:
         instance = generate(spec)
         for claim in claims:
             start = time.perf_counter()
-            record: CheckRecord = run_claim(claim, instance, options)
+            record = shared.get(claim)
+            if record is None:
+                record = run_claim(claim, instance, options)
+                if claim in INSTANCE_FREE:
+                    shared[claim] = record
             elapsed_ms = int((time.perf_counter() - start) * 1000)
             rows.append(
                 {
@@ -181,7 +193,11 @@ def write_report(
 
 
 def exit_code(rows: list[dict]) -> int:
-    """0 when all exact checks pass, 1 on an exact failure, 2 on ceilings."""
+    """0 when all exact checks pass, 1 on an exact failure, 2 on ceilings.
+
+    'undefined' rows (an instance outside a claim's domain) count as neither
+    a failure nor a ceiling.
+    """
     verdicts = {row["verdict"] for row in rows}
     if "ceiling" in verdicts:
         return 2

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .field import CeilingExceeded, coerce_element
+from .field import CeilingExceeded
 from .sets import (
     DEFAULT_ELEMENT_CEILING,
     ArithSet,
@@ -37,18 +37,20 @@ from .energy import (
     additive_energy,
     multiplicative_energy,
     ratio_quotient_energy,
-    shift_intersection_report,
+    representation_function,
+    shift_bound_report,
     sigma,
 )
-from .graph import build_containment_graph, gowers_extract, lk_profile
+from .graph import UndefinedProfile, build_containment_graph, gowers_extract, lk_profile
 from .incidence import (
+    RouteDisagreement,
     collinear_triples,
     grid_triples_bound_check,
     sextuple_collinearity_count,
 )
 from .popdiff import (
     build_popular_ratios,
-    one_minus_x_solutions,
+    build_ratio_sets,
     quadruple_energy_bound,
     ratio_product_identity_holds,
     shift_ratio_identity_holds,
@@ -113,7 +115,7 @@ class CheckRecord:
     lhs: object
     rhs: object
     ratio: float | None
-    verdict: str  # "pass" | "fail" | "info" | "ceiling"
+    verdict: str  # "pass" | "fail" | "info" | "ceiling" | "undefined"
     details: dict = field(default_factory=dict)
 
 
@@ -260,11 +262,8 @@ def basis_chain_check(
         tau = profile.richness_threshold()
     cert = build_popular_ratios(graph, extract.subset, tau, ceiling)
     x = ratio_set(a, a, ceiling)
-    if len(cert.ratios):
-        n_floor = min(one_minus_x_solutions(v, x) for v in cert.ratios)
-    else:
-        n_floor = 0
-    bound = quadruple_energy_bound(a, x, cert.ratios, n_floor, ceiling)
+    bound = quadruple_energy_bound(a, x, cert.ratios, ceiling=ceiling)
+    n_floor = bound.solutions_floor
 
     e = graph.edges
     threshold_exact = Fraction(e * e, len(b) ** 3)
@@ -348,10 +347,9 @@ def sextuple_check(a: ArithSet, ceiling: int | None = None) -> CheckRecord:
     """Sextuple-equation count against the line-grouping route, exactly."""
     kwargs = {} if ceiling is None else {"ceiling": ceiling}
     try:
+        # The count is cross-checked against collinear_triples inside.
         total, nondeg = sextuple_collinearity_count(a, **kwargs)
-        grouped = collinear_triples(a, a, a)
-        verdict = "pass" if nondeg == grouped else "fail"
-    except RuntimeError as exc:  # route disagreement inside the op
+    except RouteDisagreement as exc:
         return CheckRecord(
             claim="sextuple_count",
             provenance="incidence.sextuple_collinearity_count",
@@ -372,9 +370,9 @@ def sextuple_check(a: ArithSet, ceiling: int | None = None) -> CheckRecord:
         size_a=len(a),
         size_b=0,
         lhs=nondeg,
-        rhs=grouped,
+        rhs=nondeg,
         ratio=None,
-        verdict=verdict,
+        verdict="pass",
         details=details,
     )
 
@@ -397,21 +395,27 @@ def grid_triples_check(a: ArithSet, second: ArithSet | None = None) -> CheckReco
 
 
 def shift_bound_check(a: ArithSet) -> CheckRecord:
-    """Shift overlap bound over every nonzero difference, exactly."""
-    diffs = difference_set(a, a)
-    worst = None
-    all_hold = True
+    """Shift overlap bound over every nonzero difference, exactly.
+
+    |A ∩ (A+α)| = r_{A-A}(α), so one histogram gives every overlap; the
+    bound M^{4/3}|A|^{2/3} does not depend on α, so the bound holds for
+    every α exactly when it holds for the largest overlap.  The worst α is
+    the first of largest overlap in canonical order.
+    """
+    overlaps = representation_function(a, a, "minus", ceiling=None)
+    worst_alpha = None
     checked = 0
-    for alpha in diffs:
+    for alpha in difference_set(a, a):
         if not alpha:
             continue
-        rep = shift_intersection_report(a, alpha)
         checked += 1
-        all_hold = all_hold and rep.holds
-        if worst is None or rep.overlap > worst.overlap:
-            worst = rep
-    if worst is None:
+        if worst_alpha is None or overlaps[alpha] > overlaps[worst_alpha]:
+            worst_alpha = alpha
+    if worst_alpha is None:
         raise ValueError("no nonzero shift exists (singleton set)")
+    worst = shift_bound_report(
+        a, worst_alpha, overlaps[worst_alpha], multiplicative_doubling(a)
+    )
     return CheckRecord(
         claim="shift_bound",
         provenance="energy.shift_intersection_report",
@@ -420,7 +424,7 @@ def shift_bound_check(a: ArithSet) -> CheckRecord:
         lhs=worst.overlap,
         rhs=worst.bound_ceiling,
         ratio=worst.overlap / worst.bound_float,
-        verdict="pass" if all_hold else "fail",
+        verdict="pass" if worst.holds else "fail",
         details={"worst_alpha": worst.alpha, "doubling": worst.doubling},
     )
 
@@ -431,7 +435,8 @@ def difference_count_check(
     """sigma_A(B) against |B|^2 |A|^{-c/10} (ratio-only, hypothesis-flagged)."""
     if b is None:
         b = a
-    hypothesis_ok = all(x in difference_set(b, b) for x in a)
+    diffs = difference_set(b, b)
+    hypothesis_ok = all(x in diffs for x in a)
     value = sigma(a, b, "minus")
     rhs = _hp(
         lambda ctx: ctx.mpf(len(b)) ** 2
@@ -458,36 +463,17 @@ def ratio_set_bounds_check(b: ArithSet, c: ArithSet | None = None) -> CheckRecor
     generating tuples.  Ratio part: |X| T(B,B,-C) / (|B|^4 |C|^2) and the
     symmetric quantity for Y.
     """
-    from .popdiff import build_ratio_sets
-
     if c is None:
         c = b
+    # Line hashing guards its pair ceiling up front, so counting the triples
+    # first refuses an oversized instance before the B^3 walk.
+    t_bbc = collinear_triples(b, b, negate(c))
+    t_ccb = t_bbc if c == b else collinear_triples(c, c, negate(b))
     ratios = build_ratio_sets(b, c)
-
-    def tuple_stats(first, second):
-        groups: dict = {}
-        one = coerce_element(1, first.p)
-        total = 0
-        for f1 in first:
-            for f2 in first:
-                for s in second:
-                    den = f2 + s
-                    if not den:
-                        continue
-                    val = (f1 + s) / den
-                    if not val or val == one:
-                        continue
-                    groups[val] = groups.get(val, 0) + 1
-                    total += 1
-        collisions = sum(g * g for g in groups.values())
-        return total, collisions
-
-    total_x, q_x = tuple_stats(b, c)
-    total_y, q_y = tuple_stats(c, b)
+    total_x, q_x = ratios.total_x, ratios.collisions_x
+    total_y, q_y = ratios.total_y, ratios.collisions_y
     cs_x = total_x * total_x <= len(ratios.x_set) * q_x if total_x else True
     cs_y = total_y * total_y <= len(ratios.y_set) * q_y if total_y else True
-    t_bbc = collinear_triples(b, b, negate(c))
-    t_ccb = collinear_triples(c, c, negate(b))
     ratio_x = (
         len(ratios.x_set) * t_bbc / (len(b) ** 4 * len(c) ** 2) if t_bbc else None
     )
@@ -642,6 +628,10 @@ CLAIMS = {
     "exponent_chain": lambda a, o: exponent_chain_check(o.get("gain", MAX_GAIN)),
 }
 
+#: Claims whose record does not depend on the instance; the report runner
+#: evaluates each of them once per suite and reuses the record.
+INSTANCE_FREE = frozenset({"identities", "exponent_chain"})
+
 #: Families of claims with a meaningful log-log slope, and the slope
 #: threshold used in summaries (claimed exponent + slack).
 SLOPE_TARGETS = {
@@ -653,22 +643,33 @@ SLOPE_TARGETS = {
 }
 
 
+def _unanswered(
+    claim: str, a: ArithSet | None, verdict: str, exc, lhs=None, rhs=None
+) -> CheckRecord:
+    """A record that carries no exact answer; its anchor names the verdict."""
+    return CheckRecord(
+        claim=claim,
+        provenance=verdict,
+        size_a=len(a) if a is not None else 0,
+        size_b=0,
+        lhs=lhs,
+        rhs=rhs,
+        ratio=None,
+        verdict=verdict,
+        details={"error": str(exc)},
+    )
+
+
 def run_claim(claim: str, a: ArithSet | None, options: dict | None = None) -> CheckRecord:
-    """Run one claim, converting capacity aborts into 'ceiling' records."""
+    """Run one claim, converting capacity aborts into 'ceiling' records and
+    an undefined (L, K) profile (edgeless containment graph) into an
+    'undefined' record."""
     if claim not in CLAIMS:
         raise ValueError(f"unknown claim {claim!r}; known: {sorted(CLAIMS)}")
     options = options or {}
     try:
         return CLAIMS[claim](a, options)
     except CeilingExceeded as exc:
-        return CheckRecord(
-            claim=claim,
-            provenance="ceiling",
-            size_a=len(a) if a is not None else 0,
-            size_b=0,
-            lhs=exc.requested,
-            rhs=exc.ceiling,
-            ratio=None,
-            verdict="ceiling",
-            details={"error": str(exc)},
-        )
+        return _unanswered(claim, a, "ceiling", exc, exc.requested, exc.ceiling)
+    except UndefinedProfile as exc:
+        return _unanswered(claim, a, "undefined", exc)

@@ -115,6 +115,20 @@ def test_report_cli(tmp_path, capsys):
     assert len(csv_text.splitlines()) == 5  # header + 2 claims x 2 instances
 
 
+def test_report_sextuple_ceiling_exit_code(tmp_path, capsys):
+    out_dir = tmp_path / "rep"
+    code, _ = run(
+        capsys,
+        "report",
+        "--family", "gp:q=2,n=16",
+        "--suite", "sextuple_count",
+        "--out", str(out_dir),
+    )
+    assert code == 2
+    row = (out_dir / "report.csv").read_text().splitlines()[1]
+    assert row == "sextuple_count,ceiling,16,0,16777216,5000000,,ceiling,0"
+
+
 def test_usage_errors(capsys):
     assert main(["stats", "/nonexistent/file.txt"]) == 2
     with pytest.raises(SystemExit) as err:

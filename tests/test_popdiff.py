@@ -162,6 +162,42 @@ def test_ratio_sets_worked():
         assert (f1 + s) / (f2 + s) == val
 
 
+def _tuple_stats(first, second):
+    """Surviving generating tuples of (f1 + s)/(f2 + s) and Q = sum of squares."""
+    groups = {}
+    for f1 in first:
+        for f2 in first:
+            for s in second:
+                if not f2 + s:
+                    continue
+                val = (f1 + s) / (f2 + s)
+                if val not in (0, 1):
+                    groups[val] = groups.get(val, 0) + 1
+    return sum(groups.values()), sum(g * g for g in groups.values())
+
+
+def test_ratio_sets_tuple_stats_match_a_recount():
+    rng = random.Random(41)
+    for _ in range(20):
+        b = ArithSet(rng.sample(range(-9, 10), rng.randint(2, 5)))
+        c = ArithSet(rng.sample(range(-9, 10), rng.randint(2, 5)))
+        for first, second in ((b, c), (b, b)):
+            rs = build_ratio_sets(first, second)
+            assert (rs.total_x, rs.collisions_x) == _tuple_stats(first, second)
+            assert (rs.total_y, rs.collisions_y) == _tuple_stats(second, first)
+    rs = build_ratio_sets(fset(0, 1), fset(2, 3))
+    assert (rs.total_x, rs.collisions_x) == (4, 4)
+
+
+def test_quadruple_bound_default_floor_is_least_solution_count():
+    a = ArithSet([1, 2, 4, 8])
+    x = ratio_set(a, a)
+    r = ArithSet([2, Fraction(1, 2)])
+    least = min(one_minus_x_solutions(v, x) for v in r)
+    assert quadruple_energy_bound(a, x, r) == quadruple_energy_bound(a, x, r, least)
+    assert quadruple_energy_bound(a, x, r).solutions_floor == least
+
+
 def test_ratio_sets_require_two_elements():
     with pytest.raises(ValueError):
         build_ratio_sets(fset(0, 1), fset(2))

@@ -1,12 +1,14 @@
 """Claim records, the exponent ledger, slope fits, and report output."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
 
+from sumprodlab import incidence, popdiff, sets, verify
 from sumprodlab.sets import ArithSet
-from sumprodlab.families import FamilySpec
+from sumprodlab.families import FamilySpec, generate, parse_family
 from sumprodlab.report import (
     exit_code,
     jsonable,
@@ -128,10 +130,53 @@ def test_sextuple_check():
     assert rec.lhs == rec.rhs == 48
 
 
+def test_sextuple_ceiling_is_not_a_failure():
+    # |A|^6 above the brute ceiling must read as a ceiling, never as 'fail'.
+    rec = run_claim("sextuple_count", gp(14))
+    assert rec.verdict == "ceiling"
+    assert (rec.lhs, rec.rhs) == (14**6, incidence.DEFAULT_BRUTE_CEILING)
+
+
+def test_sextuple_route_disagreement_fails(monkeypatch):
+    monkeypatch.setattr(incidence, "collinear_triples", lambda *sets_: -1)
+    rec = run_claim("sextuple_count", fset(0, 1, 2))
+    assert rec.verdict == "fail"
+    assert "route disagreement" in rec.details["error"]
+
+
 def test_shift_bound_check_gp():
     rec = shift_bound_check(gp(8))
     assert rec.verdict == "pass"
     assert rec.size_b == len(gp(8)) ** 2 - len(gp(8))  # nonzero differences checked
+
+
+def test_shift_bound_check_worst_shift_is_first_largest_overlap():
+    # Overlaps of {0,1,2,4}: r(+-1) = r(+-2) = 2 is the maximum, and the
+    # first of them in canonical order, -2, wins the tie.
+    a = fset(0, 1, 2, 4)
+    rec = shift_bound_check(a)
+    assert rec.lhs == 2
+    assert rec.details["worst_alpha"] == -2
+    assert rec.size_b == len(sets.difference_set(a, a)) - 1
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_shift_bound_check_builds_the_product_set_once(monkeypatch):
+    calls = _counting(monkeypatch, sets, "product_set")
+    rec = shift_bound_check(gp(12))
+    assert rec.verdict == "pass"
+    assert len(calls) == 1
 
 
 def test_difference_count_check():
@@ -146,6 +191,46 @@ def test_ratio_set_bounds_check():
     rec = ratio_set_bounds_check(fset(0, 1), fset(2, 3))
     assert rec.verdict == "pass"
     assert rec.details["x_size"] == 4
+
+
+def test_ratio_set_bounds_with_c_equal_b_walks_once(monkeypatch):
+    triples = _counting(monkeypatch, verify, "collinear_triples")
+    walks = _counting(monkeypatch, popdiff, "_directed_ratios")
+    rec = ratio_set_bounds_check(gp(6))
+    assert rec.verdict == "pass"
+    assert rec.details["triples_bbc"] == rec.details["triples_ccb"]
+    assert len(triples) == 1
+    assert len(walks) == 1
+
+
+def test_ratio_set_bounds_ceiling_before_the_cube_walk(monkeypatch):
+    walks = _counting(monkeypatch, popdiff, "_directed_ratios")
+    a = generate(parse_family("subgroup:p=10009,d=139"))
+    start = time.perf_counter()
+    rec = run_claim("ratio_set_bounds", a)
+    assert time.perf_counter() - start < 10.0
+    assert rec.verdict == "ceiling"
+    assert (rec.lhs, rec.rhs) == (746_582_761, 100_000_000)
+    assert walks == []
+
+
+def test_basis_chain_ceiling_before_the_solution_counts(monkeypatch):
+    solutions = _counting(monkeypatch, popdiff, "one_minus_x_solutions")
+    a = generate(parse_family("random:n=40,lo=1,hi=200,seed=3"))
+    rec = run_claim("basis_chain", a)
+    assert rec.verdict == "ceiling"
+    assert (rec.lhs, rec.rhs) == (779_917_329, 2_000_000)
+    assert solutions == []
+
+
+@pytest.mark.parametrize("claim", ["popular_ratios", "basis_chain"])
+def test_edgeless_containment_graph_is_undefined(claim):
+    # The subgroup H of order 139 in F_10009*: no two elements of H sum into H.
+    a = generate(parse_family("subgroup:p=10009,d=139"))
+    rec = run_claim(claim, a)
+    assert rec.verdict == "undefined"
+    assert rec.size_a == 139
+    assert "(L, K) profile is undefined" in rec.details["error"]
 
 
 def test_identity_battery_small():
@@ -189,6 +274,27 @@ def test_run_suite_and_writers(tmp_path):
     payload = json.loads(json_path.read_text())
     assert payload["summary"]["rows"] == 4
     assert exit_code(rows) == 0
+
+
+def test_run_suite_runs_instance_free_claims_once(monkeypatch):
+    calls = _counting(monkeypatch, verify, "identity_battery")
+    specs = [FamilySpec("gp", {"q": "2", "n": str(n)}) for n in (4, 5, 6)]
+    rows, _summary = run_suite(specs, ["identities", "exponent_chain"], {"trials": 50})
+    assert len(calls) == 1
+    identities = [r for r in rows if r["claim_id"] == "identities"]
+    assert sorted(r["instance"] for r in identities) == sorted(s.label() for s in specs)
+    assert {(r["lhs"], r["rhs"], r["verdict"]) for r in identities} == {(100, 100, "pass")}
+
+
+def test_run_suite_keeps_going_past_an_undefined_row(tmp_path):
+    specs = [parse_family("subgroup:p=10009,d=139"), parse_family("gp:q=2,n=8")]
+    claims = ["popular_ratios", "basis_chain", "stats"]
+    rows, summary = run_suite(specs, claims)
+    assert len(rows) == 6
+    assert summary["verdicts"] == {"info": 2, "pass": 2, "undefined": 2}
+    assert exit_code(rows) == 0
+    csv_path, _json_path = write_report(rows, summary, tmp_path)
+    assert len(csv_path.read_text().splitlines()) == 7
 
 
 def test_jsonable_fractions_and_sets():
