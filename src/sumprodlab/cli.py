@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from .field import CeilingExceeded, check_prime_modulus
-from .sets import ArithSet, dumps_set, read_set_file, write_set_file
+from .sets import ArithSet, dumps_set, read_set_file
 from .families import parse_family, generate
 from .graph import build_containment_graph, gowers_extract, lk_profile
 from .incidence import (
@@ -24,18 +24,28 @@ from .incidence import (
     st_line_bound_check,
 )
 from .popdiff import build_popular_ratios
-from .report import exit_code, jsonable, run_suite, write_report
+from .report import (
+    exit_code,
+    jsonable,
+    record_row,
+    rows_to_csv,
+    run_suite,
+    write_report,
+)
 from .solvers import InfeasibleWithinUniverse, decomposition_report, min_basis
 from .verify import CLAIMS, run_claim
 
 
-def _emit(payload, out=None) -> None:
-    text = json.dumps(jsonable(payload), indent=2, sort_keys=True) + "\n"
+def _write(text: str, out=None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(payload, out=None) -> None:
+    _write(json.dumps(jsonable(payload), indent=2, sort_keys=True) + "\n", out)
 
 
 def _field_mode(text: str | None) -> int | None:
@@ -54,17 +64,14 @@ def _cmd_gen(args) -> int:
     p = _field_mode(args.field)
     if p is not None and a.p is None:
         a = ArithSet(a.elements, p=p)
-    if args.out:
-        write_set_file(a, args.out)
-    else:
-        sys.stdout.write(dumps_set(a))
+    _write(dumps_set(a), args.out)
     return 0
 
 
 def _cmd_stats(args) -> int:
     record = run_claim("stats", read_set_file(args.set), {})
     _emit({"claim": record.claim, "verdict": record.verdict, **record.details}, args.out)
-    return 0 if record.verdict != "ceiling" else 2
+    return exit_code([record_row(record)])
 
 
 def _cmd_basis(args) -> int:
@@ -116,8 +123,7 @@ def _cmd_popdiff(args) -> int:
     b = read_set_file(args.basis)
     graph = build_containment_graph(b, a)
     extract = gowers_extract(graph, Fraction(args.eps))
-    tau = args.tau if args.tau is not None else None
-    cert = build_popular_ratios(graph, extract.subset, tau)
+    cert = build_popular_ratios(graph, extract.subset, args.tau)
     _emit(
         {
             "ratios": cert.ratios,
@@ -176,50 +182,16 @@ def _cmd_verify(args) -> int:
     if args.tau is not None:
         options["tau"] = args.tau
     claims = [c.strip() for c in args.suite.split(",") if c.strip()]
-    records = [run_claim(claim, a, options) for claim in claims]
+    rows = [record_row(run_claim(claim, a, options)) for claim in claims]
     if args.format == "csv":
-        from .report import rows_to_csv
-
-        rows = [
-            {
-                "claim_id": r.claim,
-                "anchor": r.provenance,
-                "card_a": r.size_a,
-                "card_b": r.size_b,
-                "lhs": r.lhs,
-                "rhs": r.rhs,
-                "ratio": r.ratio,
-                "verdict": r.verdict,
-                "millis": 0,
-            }
-            for r in records
-        ]
-        text = rows_to_csv(rows)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(rows_to_csv(rows), args.out)
     else:
-        payload = [
-            {
-                "claim": r.claim,
-                "anchor": r.provenance,
-                "card_a": r.size_a,
-                "card_b": r.size_b,
-                "lhs": r.lhs,
-                "rhs": r.rhs,
-                "ratio": r.ratio,
-                "verdict": r.verdict,
-                "details": r.details,
-            }
-            for r in records
-        ]
-        _emit(payload, args.out)
-    verdicts = {r.verdict for r in records}
-    if "ceiling" in verdicts:
-        return 2
-    return 1 if "fail" in verdicts else 0
+        # The JSON form names the claim "claim" and carries no timing.
+        for row in rows:
+            row["claim"] = row.pop("claim_id")
+            del row["millis"]
+        _emit(rows, args.out)
+    return exit_code(rows)
 
 
 def _cmd_report(args) -> int:

@@ -4,9 +4,11 @@ The additive energy of a set S is the number of ordered quadruples
 (a1, a2, a3, a4) in S^4 with a1 + a2 = a3 + a4; multiplicative energy is
 the analogue for products.  Both are computed by hashing exact values
 into a representation function r(s) = #{(u, v) : u o v = s} and summing
-r(s)^2 -- O(|S|^2) time and space.  The O(|S|^4) quadruple enumerations
-are kept alongside as independent oracles and as the slow path for
-cross-checking.
+r(s)^2 -- O(|S|^2) time and space.  The other pair counts here read the
+same function: sigma_A(B) sums r_{B+-B} over A, and the shift overlap
+|A ∩ (A+α)| is r_{A-A}(α).  The O(|S|^4) quadruple enumeration
+:func:`energy_quadruples` is kept alongside as the independent oracle
+and slow path for cross-checking both energies.
 """
 
 from __future__ import annotations
@@ -14,12 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import CeilingExceeded, FieldElement
+from .field import CeilingExceeded, FieldElement, coerce_element
 from .sets import (
     DEFAULT_ELEMENT_CEILING,
     ArithSet,
     aa_over_a,
     multiplicative_doubling,
+    require_same_mode,
     translate,
 )
 
@@ -44,10 +47,7 @@ def representation_function(
     """
     if len(s) == 0 or len(t) == 0:
         raise ValueError("representation function requires nonempty sets")
-    if not s.same_mode(t):
-        from .field import ModeMismatchError
-
-        raise ModeMismatchError(f"modes {s.mode} and {t.mode} cannot mix")
+    require_same_mode(s, t)
     if ceiling is not None and len(s) * len(t) > ceiling:
         raise CeilingExceeded("representation function", len(s) * len(t), ceiling)
     counts: dict[FieldElement, int] = {}
@@ -86,30 +86,22 @@ def multiplicative_energy(
     return energy_from_counts(representation_function(s, s, "times", ceiling))
 
 
-def additive_energy_quadruples(s: ArithSet) -> int:
-    """Oracle: enumerate all |S|^4 quadruples with a1 + a2 = a3 + a4."""
+def energy_quadruples(s: ArithSet, op: str = "plus") -> int:
+    """Oracle: enumerate all |S|^4 quadruples with a1 o a2 = a3 o a4.
+
+    ``op`` is ``plus`` (additive energy) or ``times`` (multiplicative).
+    """
+    if op not in ("plus", "times"):
+        raise ValueError(f"unknown operation {op!r}")
+    fn = _OPS[op]
     elems = s.elements
     count = 0
     for a1 in elems:
         for a2 in elems:
-            lhs = a1 + a2
+            lhs = fn(a1, a2)
             for a3 in elems:
                 for a4 in elems:
-                    if lhs == a3 + a4:
-                        count += 1
-    return count
-
-
-def multiplicative_energy_quadruples(s: ArithSet) -> int:
-    """Oracle: enumerate all |S|^4 quadruples with a1 * a2 = a3 * a4."""
-    elems = s.elements
-    count = 0
-    for a1 in elems:
-        for a2 in elems:
-            lhs = a1 * a2
-            for a3 in elems:
-                for a4 in elems:
-                    if lhs == a3 * a4:
+                    if lhs == fn(a3, a4):
                         count += 1
     return count
 
@@ -131,18 +123,15 @@ def sigma(a: ArithSet, b: ArithSet, op: str = "plus") -> int:
 
     ``plus``  counts (b1, b2) with b1 + b2 in A;
     ``minus`` counts (b1, b2) with b1 - b2 in A.
+    Both are the sum over A of the representation function r_{B+-B}.
     """
     if len(a) == 0 or len(b) == 0:
         raise ValueError("sigma requires nonempty sets")
-    if not a.same_mode(b):
-        from .field import ModeMismatchError
-
-        raise ModeMismatchError(f"modes {a.mode} and {b.mode} cannot mix")
-    if op == "plus":
-        return sum(1 for b1 in b for b2 in b if (b1 + b2) in a)
-    if op == "minus":
-        return sum(1 for b1 in b for b2 in b if (b1 - b2) in a)
-    raise ValueError(f"unknown operation {op!r}")
+    require_same_mode(a, b)
+    if op not in ("plus", "minus"):
+        raise ValueError(f"unknown operation {op!r}")
+    counts = representation_function(b, b, op, ceiling=None)
+    return sum(counts.get(x, 0) for x in a)
 
 
 def is_sidon(s: ArithSet) -> bool:
@@ -163,8 +152,6 @@ def is_sidon(s: ArithSet) -> bool:
 
 def shift_intersection(a: ArithSet, alpha) -> int:
     """|A intersect (A + alpha)| for a nonzero shift alpha."""
-    from .field import coerce_element
-
     alpha = coerce_element(alpha, a.p)
     if not alpha:
         raise ValueError("shift must be nonzero")
@@ -218,8 +205,6 @@ def shift_bound_report(
     """The bound check for a known overlap |A ∩ (A+α)| and doubling M of A."""
     bound_cubed = doubling**4 * Fraction(len(a)) ** 2
     holds = Fraction(overlap) ** 3 <= bound_cubed
-    from .field import coerce_element
-
     return ShiftBoundReport(
         alpha=coerce_element(alpha, a.p),
         overlap=overlap,

@@ -35,6 +35,15 @@ class CeilingExceeded(RuntimeError):
         self.ceiling = ceiling
 
 
+class OutsideDomain(ValueError):
+    """Raised when an instance lies outside the domain of a computation.
+
+    Examples: an edgeless containment graph has no (L, K) profile, and the
+    ratio-based claims need 0 not in A.  The claim runner reports these
+    instances as ``undefined`` rather than aborting.
+    """
+
+
 # Witness bases making Miller-Rabin deterministic for n < 3.3 * 10^24,
 # far beyond any modulus used at desk scale.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -85,7 +94,9 @@ class Residue:
 
     Instances are immutable, hashable, and totally ordered by their
     canonical representative in ``0 <= value < p``.  Mixing residues of
-    different moduli raises :class:`ModeMismatchError`.
+    different moduli raises :class:`ModeMismatchError`.  A residue equals
+    only a residue of the same modulus and value, never a plain int, so
+    equal residues hash equally.
     """
 
     __slots__ = ("value", "p")
@@ -143,8 +154,6 @@ class Residue:
     def __eq__(self, other):
         if isinstance(other, Residue):
             return self.p == other.p and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.p
         return NotImplemented
 
     def __lt__(self, other):
@@ -202,15 +211,6 @@ def coerce_element(x, p: int | None = None) -> FieldElement:
             return Residue(x.numerator, p)
         return Residue(x.numerator, p) / Residue(x.denominator, p)
     raise TypeError(f"cannot interpret {x!r} as a residue mod {p}")
-
-
-def element_mode(x: FieldElement) -> int | None:
-    """Return the prime modulus of ``x``, or ``None`` for rationals."""
-    return x.p if isinstance(x, Residue) else None
-
-
-def is_zero(x: FieldElement) -> bool:
-    return not x
 
 
 def format_element(x: FieldElement) -> str:

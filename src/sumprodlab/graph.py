@@ -19,8 +19,9 @@ import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import FieldElement, ModeMismatchError
-from .sets import ArithSet
+from .energy import representation_function
+from .field import FieldElement, OutsideDomain
+from .sets import ArithSet, require_same_mode
 
 
 class ContainmentGraph:
@@ -31,10 +32,7 @@ class ContainmentGraph:
     def __init__(self, basis: ArithSet, target: ArithSet):
         if len(basis) == 0 or len(target) == 0:
             raise ValueError("containment graph requires nonempty sets")
-        if not basis.same_mode(target):
-            raise ModeMismatchError(
-                f"modes {basis.mode} and {target.mode} cannot mix"
-            )
+        require_same_mode(basis, target)
         elems = basis.elements
         n = len(elems)
         masks = []
@@ -59,9 +57,6 @@ class ContainmentGraph:
     def density(self) -> Fraction:
         """Bipartite edge density e / |B|^2."""
         return Fraction(self.edges, len(self.basis) ** 2)
-
-    def degree(self, i: int) -> int:
-        return self.adjacency[i].bit_count()
 
     def common_neighbors(self, i: int, j: int) -> int:
         return (self.adjacency[i] & self.adjacency[j]).bit_count()
@@ -115,13 +110,11 @@ class LKProfile:
         return math.ceil(Fraction(self.edges**2, self.basis_size**3))
 
 
-class UndefinedProfile(ValueError):
-    """Raised when a containment graph has no edge, so L = |A|/e is undefined."""
-
-
 def lk_profile(graph: ContainmentGraph) -> LKProfile:
+    """The (L, K) profile; an edgeless graph (L = |A|/e undefined) raises
+    :class:`OutsideDomain`."""
     if graph.edges == 0:
-        raise UndefinedProfile("no pair of B sums into A; the (L, K) profile is undefined")
+        raise OutsideDomain("no pair of B sums into A; the (L, K) profile is undefined")
     return LKProfile(
         basis_size=len(graph.basis),
         target_size=len(graph.target),
@@ -249,10 +242,13 @@ def difference_solution_report(
     graph: ContainmentGraph, subset: ArithSet, tau: int
 ) -> DifferenceSolutionReport:
     """For every ordered pair of ``subset``, count (a, a') in A^2 with
-    b1 - b2 = a - a' and compare with the pair's common neighborhood."""
+    b1 - b2 = a - a' -- that is, r_{A-A}(b1 - b2) -- and compare with the
+    pair's common neighborhood."""
     for x in subset:
         graph.basis.index_of(x)  # raises KeyError if subset is not within B
-    a = graph.target
+    differences = representation_function(
+        graph.target, graph.target, "minus", ceiling=None
+    )
     rows = []
     injection_ok = True
     at_tau = 0
@@ -260,8 +256,7 @@ def difference_solution_report(
         i = graph.basis.index_of(b1)
         for b2 in subset:
             j = graph.basis.index_of(b2)
-            d = b1 - b2
-            solutions = sum(1 for x in a if (x - d) in a)
+            solutions = differences.get(b1 - b2, 0)
             common = graph.common_neighbors(i, j)
             if solutions < common:
                 injection_ok = False

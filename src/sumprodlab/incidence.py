@@ -15,8 +15,8 @@ modulo p.
 
 The dyadic table classifies every line meeting at least two points of
 either of two grids by its exact per-grid richness; expanding the table
-with those exact counts reproduces T, while the power-of-two bucket
-rollup gives the classical incidence-style majorant.
+with those exact counts reproduces T, and the lines can also be grouped
+into power-of-two richness buckets.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import CeilingExceeded, FieldElement, ModeMismatchError, Residue
-from .sets import ArithSet
+from .field import CeilingExceeded, FieldElement, Residue
+from .sets import ArithSet, require_same_mode
 
 #: Ceiling on the number of point pairs hashed into line keys.
 DEFAULT_PAIR_CEILING = 100_000_000
@@ -63,14 +63,6 @@ class LineKey:
         return LineKey(a / scale, b / scale, c / scale)
 
 
-def _mode_of(*sets: ArithSet) -> int | None:
-    p = sets[0].p
-    for s in sets[1:]:
-        if s.p != p:
-            raise ModeMismatchError("all sets must share one field mode")
-    return p
-
-
 def _scaled_values(sets: list[ArithSet]) -> tuple[list[list[int]], int]:
     """Common-denominator integer coordinates for rational sets."""
     scale = 1
@@ -84,7 +76,8 @@ def _scaled_values(sets: list[ArithSet]) -> tuple[list[list[int]], int]:
 
 
 def _values_for(sets: list[ArithSet]) -> tuple[list[list[int]], int, int | None]:
-    p = _mode_of(*sets)
+    require_same_mode(*sets)
+    p = sets[0].p
     if p is None:
         vals, scale = _scaled_values(sets)
         return vals, scale, None
@@ -334,15 +327,6 @@ class IncidenceTable:
             (rec.in_first - 1) * (rec.in_first * rec.in_second - 2 * rec.in_both)
             for rec in self.lines
         )
-
-    def dyadic_majorant(self) -> int:
-        """Sum over buckets of |L_{i,j}| * 2^{2i} * 2^j (zero-rich excluded)."""
-        total = 0
-        for (i, j), n in self.dyadic_counts().items():
-            if i < 0 or j < 0:
-                continue
-            total += n * (1 << (2 * i)) * (1 << j)
-        return total
 
     def pair_identity_ok(self) -> bool:
         """Every ordered pair of distinct grid points lies on exactly one

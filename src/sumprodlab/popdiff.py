@@ -17,9 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .field import CeilingExceeded, FieldElement
-from .sets import DEFAULT_ELEMENT_CEILING, ArithSet, product_set, ratio_set
-from .energy import additive_energy
+from .field import CeilingExceeded, FieldElement, OutsideDomain, coerce_element
+from .sets import (
+    DEFAULT_ELEMENT_CEILING,
+    ArithSet,
+    product_set,
+    ratio_set,
+    require_same_mode,
+    sumset,
+)
+from .energy import additive_energy, energy_from_counts, ratio_quotient_energy
 from .graph import ContainmentGraph, lk_profile, rich_pairs
 
 
@@ -91,25 +98,15 @@ def build_popular_ratios(
     n = len(elems)
     if ceiling is not None and n**3 > ceiling:
         raise CeilingExceeded("collision count over B^3 ratio values", n**3, ceiling)
-    groups: dict[FieldElement, int] = {}
-    skipped = 0
-    for b2 in elems:
-        for b1 in elems:
-            for bk in elems:
-                den = b1 + bk
-                if not den:
-                    skipped += 1
-                    continue
-                val = (b2 + bk) / den
-                groups[val] = groups.get(val, 0) + 1
-    collision_count = sum(g * g for g in groups.values())
+    walk = _ratio_walk(b, b)
+    collision_count = energy_from_counts(walk.counts)
 
     ratios = ArithSet(multiplicity.keys(), p=b.p)
     total = sum(multiplicity.values())
     cs_ok = total * total <= len(ratios) * collision_count
     within = True
     if len(ratios):
-        target = _target_ratio_set(a, ceiling)
+        target = ratio_set(a, a, ceiling)
         within = all(x in target for x in ratios)
     return PopDiffCertificate(
         ratios=ratios,
@@ -117,15 +114,11 @@ def build_popular_ratios(
         collision_count=collision_count,
         tau=tau,
         triples_total=triples_total,
-        skipped_triples=skipped,
+        skipped_triples=walk.skipped,
         conservation_ok=(total == triples_total),
         cauchy_schwarz_ok=cs_ok,
         within_target_ratios=within,
     )
-
-
-def _target_ratio_set(a: ArithSet, ceiling) -> ArithSet:
-    return ratio_set(a, a, ceiling)
 
 
 def shift_ratio_identity_holds(b1, b2, b, b_alt) -> bool:
@@ -160,28 +153,13 @@ def ratio_product_identity_holds(b1, b2, c, c_alt) -> bool:
 
 def one_minus_x_solutions(x, d: ArithSet) -> int:
     """Count pairs (a1, a2) in D^2 with a1 - a2 = 1 - x."""
-    from .field import coerce_element
-
-    x = coerce_element(x, d.p)
-    one = coerce_element(1, d.p)
-    target = one - x
-    return sum(1 for a2 in d if (a2 + target) in d)
+    return len(_solution_pairs(x, d))
 
 
-def _solution_pairs(x, d: ArithSet, limit: int) -> list[tuple]:
-    """First ``limit`` solution pairs (a1, a2) in canonical order."""
-    from .field import coerce_element
-
-    x = coerce_element(x, d.p)
-    target = coerce_element(1, d.p) - x
-    out = []
-    for a2 in d:
-        a1 = a2 + target
-        if a1 in d:
-            out.append((a1, a2))
-            if len(out) == limit:
-                break
-    return out
+def _solution_pairs(x, d: ArithSet) -> list[tuple]:
+    """Every solution pair (a1, a2) of a1 - a2 = 1 - x, in canonical order."""
+    target = coerce_element(1, d.p) - coerce_element(x, d.p)
+    return [(a2 + target, a2) for a2 in d if (a2 + target) in d]
 
 
 @dataclass(frozen=True)
@@ -225,8 +203,6 @@ def quadruple_energy_bound(
     yx = product_set(y, x, ceiling)
     energy = additive_energy(yx, ceiling)
     errors = []
-    from .field import coerce_element
-
     one = coerce_element(1, x.p)
     if one not in x:
         errors.append("1 is not in X")
@@ -234,19 +210,19 @@ def quadruple_energy_bound(
         errors.append("R is not a subset of X")
     if y.contains_zero():
         errors.append("0 is in Y")
-    solution_counts = {el: one_minus_x_solutions(el, x) for el in r}
+    solutions = {el: _solution_pairs(el, x) for el in r}
     if n is None:
-        n = min(solution_counts.values(), default=0)
-    short = [el for el, cnt in solution_counts.items() if cnt < n]
+        n = min(map(len, solutions.values()), default=0)
+    short = [el for el, pairs in solutions.items() if len(pairs) < n]
     if short:
         errors.append(f"{len(short)} element(s) of R have fewer than {n} solutions")
 
     quadruples = set()
-    for el in r:
-        for a1, a2 in _solution_pairs(el, x, n):
+    for el, pairs in solutions.items():
+        # The first n pairs witness the floor; n <= 0 keeps them all.
+        for a1, a2 in pairs[:n] if n > 0 else pairs:
             for yv in y:
                 quadruples.add((yv, yv * el, yv * a1, yv * a2))
-    expected = n * len(y) * len(r)
     floor = n * len(y) * len(r)
     return QuadrupleBound(
         energy=energy,
@@ -256,7 +232,7 @@ def quadruple_energy_bound(
         r_size=len(r),
         solutions_floor=n,
         distinct_quadruples=len(quadruples),
-        expected_quadruples=expected,
+        expected_quadruples=floor,
         precondition_errors=tuple(errors),
     )
 
@@ -285,23 +261,18 @@ class RatioSets:
 
 
 class _RatioWalk(NamedTuple):
-    """One walk over first^2 x second: the first generating tuple of each
-    value, the degenerate tuples dropped, the surviving tuples, and the sum
-    of squared tuple counts per value."""
+    """One walk over first^2 x second: the number of tuples giving each value
+    (f1 + s)/(f2 + s), the first generating tuple of each value, and the
+    tuples dropped for a vanishing denominator f2 + s."""
 
+    counts: dict
     witness: dict
     skipped: int
-    total: int
-    collisions: int
 
 
-def _directed_ratios(first: ArithSet, second: ArithSet) -> _RatioWalk:
-    """Values (f1 + s)/(f2 + s) over f1, f2 in first, s in second."""
-    from .field import coerce_element
-
-    one = coerce_element(1, first.p)
-    witness = {}
+def _ratio_walk(first: ArithSet, second: ArithSet) -> _RatioWalk:
     counts: dict[FieldElement, int] = {}
+    witness = {}
     skipped = 0
     for f1 in first:
         for f2 in first:
@@ -311,28 +282,30 @@ def _directed_ratios(first: ArithSet, second: ArithSet) -> _RatioWalk:
                     skipped += 1
                     continue
                 val = (f1 + s) / den
-                if not val or val == one:
-                    skipped += 1
-                    continue
                 got = counts.get(val)
                 if got is None:
                     witness[val] = (f1, f2, s)
                     counts[val] = 1
                 else:
                     counts[val] = got + 1
-    total = sum(counts.values())
-    collisions = sum(g * g for g in counts.values())
-    return _RatioWalk(witness, skipped, total, collisions)
+    return _RatioWalk(counts, witness, skipped)
+
+
+def _directed_ratios(first: ArithSet, second: ArithSet) -> _RatioWalk:
+    """The ratio walk with the degenerate values 0 and 1 moved to ``skipped``."""
+    walk = _ratio_walk(first, second)
+    skipped = walk.skipped
+    for degenerate in (coerce_element(0, first.p), coerce_element(1, first.p)):
+        skipped += walk.counts.pop(degenerate, 0)
+        walk.witness.pop(degenerate, None)
+    return walk._replace(skipped=skipped)
 
 
 def build_ratio_sets(b: ArithSet, c: ArithSet) -> RatioSets:
     """Materialize the two degenerate-free directed ratio sets of (B, C)."""
     if len(b) < 2 or len(c) < 2:
-        raise ValueError("both sets need at least two elements")
-    if not b.same_mode(c):
-        from .field import ModeMismatchError
-
-        raise ModeMismatchError(f"modes {b.mode} and {c.mode} cannot mix")
+        raise OutsideDomain("both sets need at least two elements")
+    require_same_mode(b, c)
     x = _directed_ratios(b, c)
     # With C = B the two walks coincide tuple for tuple.
     y = x if c == b else _directed_ratios(c, b)
@@ -343,10 +316,10 @@ def build_ratio_sets(b: ArithSet, c: ArithSet) -> RatioSets:
         y_witness=y.witness,
         skipped_x=x.skipped,
         skipped_y=y.skipped,
-        total_x=x.total,
-        total_y=y.total,
-        collisions_x=x.collisions,
-        collisions_y=y.collisions,
+        total_x=sum(x.counts.values()),
+        total_y=sum(y.counts.values()),
+        collisions_x=energy_from_counts(x.counts),
+        collisions_y=energy_from_counts(y.counts),
     )
 
 
@@ -379,8 +352,6 @@ def sumset_energy_bounds(
     ceiling: int | None = DEFAULT_ELEMENT_CEILING,
 ) -> SumsetEnergyBound:
     """Energy floors for a verified sumset decomposition A = B + C."""
-    from .sets import sumset
-
     if sumset(b, c) != a:
         raise ValueError("A must equal the sumset B + C exactly")
     if a.contains_zero():
@@ -406,8 +377,6 @@ def sumset_energy_bounds(
 
     x_counts = _witness_solutions(ratios.x_witness, c)
     y_counts = _witness_solutions(ratios.y_witness, b)
-
-    from .energy import ratio_quotient_energy
 
     energy, _ = ratio_quotient_energy(a, ceiling)
     floor_x = len(a) * len(x_set) * len(c)

@@ -21,6 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .families import FamilySpec, generate
+from .field import Residue
 from .sets import ArithSet
 from .verify import (
     INSTANCE_FREE,
@@ -51,8 +52,6 @@ def jsonable(obj):
 
 
 def jsonable_element(x):
-    from .field import Residue
-
     if isinstance(x, Residue):
         return x.value
     return jsonable(x)
@@ -66,6 +65,22 @@ def _format_cell(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
+
+
+def record_row(record: CheckRecord, millis: int = 0) -> dict:
+    """One record as a flat row: the CSV columns plus the record's details."""
+    return {
+        "claim_id": record.claim,
+        "anchor": record.provenance,
+        "card_a": record.size_a,
+        "card_b": record.size_b,
+        "lhs": record.lhs,
+        "rhs": record.rhs,
+        "ratio": record.ratio,
+        "verdict": record.verdict,
+        "millis": millis,
+        "details": record.details,
+    }
 
 
 def run_suite(
@@ -94,21 +109,9 @@ def run_suite(
                 if claim in INSTANCE_FREE:
                     shared[claim] = record
             elapsed_ms = int((time.perf_counter() - start) * 1000)
-            rows.append(
-                {
-                    "claim_id": record.claim,
-                    "anchor": record.provenance,
-                    "card_a": record.size_a,
-                    "card_b": record.size_b,
-                    "lhs": record.lhs,
-                    "rhs": record.rhs,
-                    "ratio": record.ratio,
-                    "verdict": record.verdict,
-                    "millis": elapsed_ms if timings else 0,
-                    "instance": spec.label(),
-                    "details": record.details,
-                }
-            )
+            row = record_row(record, elapsed_ms if timings else 0)
+            row["instance"] = spec.label()
+            rows.append(row)
     rows.sort(key=lambda r: (r["claim_id"], r["card_a"], r["anchor"], r["instance"]))
 
     slopes: dict = {}

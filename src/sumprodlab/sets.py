@@ -30,6 +30,7 @@ from .field import (
     CeilingExceeded,
     FieldElement,
     ModeMismatchError,
+    OutsideDomain,
     Residue,
     check_prime_modulus,
     coerce_element,
@@ -129,9 +130,11 @@ class ArithSet:
         return lo
 
 
-def _require_same_mode(s: ArithSet, t: ArithSet) -> None:
-    if not s.same_mode(t):
-        raise ModeMismatchError(f"cannot combine sets in modes {s.mode} and {t.mode}")
+def require_same_mode(s: ArithSet, *others: ArithSet) -> None:
+    """Raise :class:`ModeMismatchError` unless every set shares the mode of ``s``."""
+    for t in others:
+        if not s.same_mode(t):
+            raise ModeMismatchError(f"cannot combine sets in modes {s.mode} and {t.mode}")
 
 
 def _require_nonempty(*sets: ArithSet) -> None:
@@ -161,28 +164,28 @@ def sumset(s: ArithSet, t: ArithSet, ceiling: int | None = None) -> ArithSet:
     for arithmetic progressions with a common difference.
     """
     _require_nonempty(s, t)
-    _require_same_mode(s, t)
+    require_same_mode(s, t)
     return _pairwise(s, t, lambda a, b: a + b, ceiling, "sumset")
 
 
 def difference_set(s: ArithSet, t: ArithSet, ceiling: int | None = None) -> ArithSet:
     """All pairwise differences ``{a - b}``."""
     _require_nonempty(s, t)
-    _require_same_mode(s, t)
+    require_same_mode(s, t)
     return _pairwise(s, t, lambda a, b: a - b, ceiling, "difference set")
 
 
 def product_set(s: ArithSet, t: ArithSet, ceiling: int | None = None) -> ArithSet:
     """All pairwise products ``{a * b}``."""
     _require_nonempty(s, t)
-    _require_same_mode(s, t)
+    require_same_mode(s, t)
     return _pairwise(s, t, lambda a, b: a * b, ceiling, "product set")
 
 
 def ratio_set(s: ArithSet, t: ArithSet, ceiling: int | None = None) -> ArithSet:
     """All pairwise quotients ``{a / b}``; requires ``0 not in t``."""
     _require_nonempty(s, t)
-    _require_same_mode(s, t)
+    require_same_mode(s, t)
     if t.contains_zero():
         raise ZeroDivisionError("ratio set requires 0 not in the divisor set")
     return _pairwise(s, t, lambda a, b: a / b, ceiling, "ratio set")
@@ -209,11 +212,11 @@ def aa_over_a(a: ArithSet, ceiling: int | None = DEFAULT_ELEMENT_CEILING) -> Ari
 
     Size can reach ``|A|^3``; the ceiling (element-pair count) aborts with
     :class:`CeilingExceeded` instead of exhausting memory.  Requires
-    ``0 not in A``.
+    ``0 not in A`` (:class:`OutsideDomain` otherwise).
     """
     _require_nonempty(a)
     if a.contains_zero():
-        raise ValueError("(A*A)/A requires 0 not in A")
+        raise OutsideDomain("(A*A)/A requires 0 not in A")
     _guard("product set A*A", len(a) * len(a), ceiling)
     prods = product_set(a, a)
     _guard("quotients (A*A)/A", len(prods) * len(a), ceiling)

@@ -25,8 +25,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import LKProfile, build_containment_graph, lk_profile
-from .sets import ArithSet, difference_set, dilate, multiplicative_doubling, sumset
+from .energy import representation_function, shift_bound_report
+from .field import OutsideDomain
+from .sets import ArithSet, difference_set, multiplicative_doubling, sumset
 
 
 class InfeasibleWithinUniverse(RuntimeError):
@@ -213,11 +214,6 @@ def min_basis(
     )
 
 
-def lk_of_candidate(a: ArithSet, b: ArithSet) -> LKProfile:
-    """Profile of a candidate basis against its target."""
-    return lk_profile(build_containment_graph(b, a))
-
-
 @dataclass(frozen=True)
 class Decomposition:
     reducible: bool
@@ -241,9 +237,9 @@ def decompose(a: ArithSet) -> Decomposition:
     attempt a one-element extension of that side before being rejected.
     """
     if not a.is_rational:
-        raise ValueError("decomposition search runs in rational mode only")
+        raise OutsideDomain("decomposition search runs in rational mode only")
     if len(a) < 2:
-        raise ValueError("need at least two elements")
+        raise OutsideDomain("need at least two elements")
     elems = list(a.elements)
     a_index = set(elems)
     c0 = elems[0]
@@ -385,12 +381,11 @@ def decomposition_report(a: ArithSet) -> dict:
     """Decomposition verdict with the shift-overlap context attached.
 
     For a witness, every translate B + c1 must sit inside
-    A ∩ (A + (c1 - c2)); that containment is re-verified exactly.  The
-    multiplicative doubling is reported either way (computed on the
-    zero-free part when 0 is in A, and flagged).
+    A ∩ (A + (c1 - c2)); that containment is re-verified exactly, and each
+    overlap |A ∩ (A + (c1 - c2))| = r_{A-A}(c1 - c2) is checked against the
+    shift bound.  The multiplicative doubling is reported either way
+    (computed on the zero-free part when 0 is in A, and flagged).
     """
-    from .energy import shift_intersection_report
-
     dec = decompose(a)
     zero_free = ArithSet([x for x in a if x], p=a.p)
     report: dict = {
@@ -406,40 +401,21 @@ def decomposition_report(a: ArithSet) -> dict:
     report["left_size"] = len(b)
     report["right_size"] = len(c)
     report["cube_root_of_size"] = len(a) ** (1.0 / 3.0)
-    containment_ok = True
+    shifts = [(c1, c2) for c1 in c for c2 in c if c1 != c2]
+    report["containment_ok"] = all(
+        x + c1 in a and x + c2 in a for c1, c2 in shifts for x in b
+    )
     shift_ok: bool | None = None
-    for c1 in c:
-        shifted = ArithSet((x + c1 for x in b), p=a.p)
-        for c2 in c:
-            if c1 == c2:
-                continue
-            delta = c1 - c2
-            overlap = ArithSet(
-                [x for x in a if (x - delta) in a], p=a.p
-            )
-            if any(el not in overlap for el in shifted):
-                containment_ok = False
-            if not a.contains_zero():
-                rep = shift_intersection_report(a, delta)
-                shift_ok = rep.holds if shift_ok is None else (shift_ok and rep.holds)
-    report["containment_ok"] = containment_ok
+    if not a.contains_zero():
+        # Here the doubling above is M(A) itself.
+        overlaps = representation_function(a, a, "minus", ceiling=None)
+        shift_ok = all(
+            shift_bound_report(
+                a, c1 - c2, overlaps.get(c1 - c2, 0), report["doubling"]
+            ).holds
+            for c1, c2 in shifts
+        )
     report["shift_bound_ok"] = shift_ok
     report["witness_left"] = b
     report["witness_right"] = c
     return report
-
-
-def translation_normalized(a: ArithSet) -> ArithSet:
-    """Shift so the minimum is 0 (handy when comparing decompositions)."""
-    if not a.is_rational:
-        raise ValueError("rational mode only")
-    m = a.elements[0]
-    return ArithSet((x - m for x in a))
-
-
-def dilation_normalized(a: ArithSet) -> ArithSet:
-    """Divide by the smallest positive element (no-op if none exists)."""
-    positive = [x for x in a if x > 0]
-    if not positive:
-        return a
-    return dilate(a, 1 / min(positive))

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .field import CeilingExceeded
+from .field import CeilingExceeded, OutsideDomain
 from .sets import (
     DEFAULT_ELEMENT_CEILING,
     ArithSet,
@@ -39,9 +39,8 @@ from .energy import (
     ratio_quotient_energy,
     representation_function,
     shift_bound_report,
-    sigma,
 )
-from .graph import UndefinedProfile, build_containment_graph, gowers_extract, lk_profile
+from .graph import build_containment_graph, gowers_extract, lk_profile
 from .incidence import (
     RouteDisagreement,
     collinear_triples,
@@ -125,7 +124,7 @@ def stats_record(a: ArithSet, ceiling: int | None = DEFAULT_ELEMENT_CEILING) -> 
     details["sumset"] = len(sumset(a, a, ceiling))
     details["difference_set"] = len(difference_set(a, a, ceiling))
     details["product_set"] = len(product_set(a, a, ceiling))
-    m = multiplicative_doubling(a)
+    m = Fraction(details["product_set"], len(a))
     details["doubling"] = m
     if not a.contains_zero():
         details["ratio_set"] = len(ratio_set(a, a, ceiling))
@@ -238,6 +237,22 @@ def doubling_energy_check(
     )
 
 
+def _certificate(a, b, epsilon, tau, ceiling):
+    """The popular-ratio certificate of B (default A) against A, with the
+    graph, (L, K) profile and extract it was built from."""
+    if a.contains_zero():
+        raise OutsideDomain("popular ratios need 0 not in the target set")
+    if b is None:
+        b = a
+    graph = build_containment_graph(b, a)
+    profile = lk_profile(graph)
+    extract = gowers_extract(graph, epsilon)
+    if tau is None:
+        tau = profile.richness_threshold()
+    cert = build_popular_ratios(graph, extract.subset, tau, ceiling)
+    return graph, profile, extract, cert
+
+
 def basis_chain_check(
     a: ArithSet,
     b: ArithSet | None = None,
@@ -253,14 +268,8 @@ def basis_chain_check(
     N against e^2/|B|^3, the assembled floor e^10 |A| / |B|^17, and
     (L^10 K^17)^2 against |A|^{2c}.
     """
-    if b is None:
-        b = a
-    graph = build_containment_graph(b, a)
-    profile = lk_profile(graph)
-    extract = gowers_extract(graph, epsilon)
-    if tau is None:
-        tau = profile.richness_threshold()
-    cert = build_popular_ratios(graph, extract.subset, tau, ceiling)
+    graph, profile, extract, cert = _certificate(a, b, epsilon, tau, ceiling)
+    b = graph.basis
     x = ratio_set(a, a, ceiling)
     bound = quadruple_energy_bound(a, x, cert.ratios, ceiling=ceiling)
     n_floor = bound.solutions_floor
@@ -295,7 +304,7 @@ def basis_chain_check(
             "k_squared": profile.k_squared,
             "extract_success": extract.success,
             "extract_size": len(extract.subset),
-            "tau": tau,
+            "tau": cert.tau,
             "ratio_count": len(cert.ratios),
             "solution_floor": n_floor,
             "threshold_exact": threshold_exact,
@@ -315,21 +324,14 @@ def popular_ratio_check(
     ceiling: int | None = DEFAULT_ELEMENT_CEILING,
 ) -> CheckRecord:
     """Certificate-only check: conservation and Cauchy-Schwarz, exactly."""
-    if b is None:
-        b = a
-    graph = build_containment_graph(b, a)
-    profile = lk_profile(graph)
-    extract = gowers_extract(graph, epsilon)
-    if tau is None:
-        tau = profile.richness_threshold()
-    cert = build_popular_ratios(graph, extract.subset, tau, ceiling)
+    graph, _profile, _extract, cert = _certificate(a, b, epsilon, tau, ceiling)
     total = cert.multiplicity_sum
     ok = cert.conservation_ok and cert.cauchy_schwarz_ok and cert.within_target_ratios
     return CheckRecord(
         claim="popular_ratios",
         provenance="popdiff.build_popular_ratios",
         size_a=len(a),
-        size_b=len(b),
+        size_b=len(graph.basis),
         lhs=total * total,
         rhs=len(cert.ratios) * cert.collision_count,
         ratio=None,
@@ -412,7 +414,7 @@ def shift_bound_check(a: ArithSet) -> CheckRecord:
         if worst_alpha is None or overlaps[alpha] > overlaps[worst_alpha]:
             worst_alpha = alpha
     if worst_alpha is None:
-        raise ValueError("no nonzero shift exists (singleton set)")
+        raise OutsideDomain("no nonzero shift exists (singleton set)")
     worst = shift_bound_report(
         a, worst_alpha, overlaps[worst_alpha], multiplicative_doubling(a)
     )
@@ -435,9 +437,11 @@ def difference_count_check(
     """sigma_A(B) against |B|^2 |A|^{-c/10} (ratio-only, hypothesis-flagged)."""
     if b is None:
         b = a
-    diffs = difference_set(b, b)
-    hypothesis_ok = all(x in diffs for x in a)
-    value = sigma(a, b, "minus")
+    # sigma_A(B) = sum over A of r_{B-B}; the same histogram says whether
+    # A lies inside B - B.
+    differences = representation_function(b, b, "minus", ceiling=None)
+    hypothesis_ok = all(x in differences for x in a)
+    value = sum(differences.get(x, 0) for x in a)
     rhs = _hp(
         lambda ctx: ctx.mpf(len(b)) ** 2
         * ctx.mpf(len(a)) ** (-_mpf(gain, ctx) / 10)
@@ -662,8 +666,9 @@ def _unanswered(
 
 def run_claim(claim: str, a: ArithSet | None, options: dict | None = None) -> CheckRecord:
     """Run one claim, converting capacity aborts into 'ceiling' records and
-    an undefined (L, K) profile (edgeless containment graph) into an
-    'undefined' record."""
+    an instance outside the claim's domain (an edgeless containment graph,
+    0 in A for the ratio claims, a prime-field decomposition, a singleton
+    where a claim needs two elements) into an 'undefined' record."""
     if claim not in CLAIMS:
         raise ValueError(f"unknown claim {claim!r}; known: {sorted(CLAIMS)}")
     options = options or {}
@@ -671,5 +676,5 @@ def run_claim(claim: str, a: ArithSet | None, options: dict | None = None) -> Ch
         return CLAIMS[claim](a, options)
     except CeilingExceeded as exc:
         return _unanswered(claim, a, "ceiling", exc, exc.requested, exc.ceiling)
-    except UndefinedProfile as exc:
+    except OutsideDomain as exc:
         return _unanswered(claim, a, "undefined", exc)

@@ -13,9 +13,8 @@ from itertools import combinations
 from sumprodlab.sets import ArithSet, ratio_set
 from sumprodlab.energy import (
     additive_energy,
-    additive_energy_quadruples,
+    energy_quadruples,
     multiplicative_energy,
-    multiplicative_energy_quadruples,
     shift_intersection_report,
 )
 from sumprodlab.graph import build_containment_graph, difference_solution_report
@@ -55,8 +54,8 @@ def test_a01_energy_oracle_equivalence():
     for _ in range(50):
         n = rng.randint(1, 12)
         s = ArithSet(rng.sample(range(-60, 60), n))
-        ok = ok and additive_energy(s) == additive_energy_quadruples(s)
-        ok = ok and multiplicative_energy(s) == multiplicative_energy_quadruples(s)
+        ok = ok and additive_energy(s) == energy_quadruples(s, "plus")
+        ok = ok and multiplicative_energy(s) == energy_quadruples(s, "times")
     elapsed = time.monotonic() - start
     _verdict("01 energy oracle equivalence (50 sets, <5s)", ok and elapsed < 5.0)
 
@@ -294,7 +293,7 @@ def test_a11_quotient_energy_family_slope():
         m = 3 * n - 2  # quotient set of a ratio-2 progression is a progression
         ok_n = len(quotient) == m and energy == 2 * m * m - m
         if n == 8:
-            ok_n = ok_n and energy == additive_energy_quadruples(quotient)
+            ok_n = ok_n and energy == energy_quadruples(quotient, "plus")
         assert ok_n, f"closed form failed at n={n}"
         sizes.append(n)
         energies.append(energy)

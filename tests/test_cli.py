@@ -2,6 +2,7 @@
 verify, report, and the exit-code contract."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -134,3 +135,41 @@ def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as err:
         main(["basis"])  # missing required arguments
     assert err.value.code == 2
+
+
+GOLDEN = Path(__file__).parent / "golden"
+ALL_CLAIMS = (
+    "stats,ratio_energy,mult_energy_plus,mult_energy_minus,doubling_energy,"
+    "basis_chain,popular_ratios,sextuple_count,grid_triples,shift_bound,"
+    "difference_count,ratio_set_bounds"
+)
+
+
+@pytest.mark.parametrize(
+    "stem, family, suite, extra, want_code",
+    [
+        # A reducible rational sumset: every claim, the decomposition included.
+        (
+            "verify_q",
+            "sumset_of_random:n=4,lo=1,hi=40,seed=5",
+            ALL_CLAIMS + ",identities,decomposition,exponent_chain",
+            ["--seed", "3"],
+            0,
+        ),
+        # A subgroup of F_29* of order 14: |A|^6 puts sextuple_count at its ceiling.
+        ("verify_fp", "subgroup:p=29,d=14", ALL_CLAIMS + ",exponent_chain", [], 2),
+    ],
+)
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_verify_output_matches_golden_bytes(
+    tmp_path, capsys, stem, family, suite, extra, want_code, fmt
+):
+    a_file = str(tmp_path / "a.txt")
+    out_file = tmp_path / f"out.{fmt}"
+    run(capsys, "gen", family, "--out", a_file)
+    code, _ = run(
+        capsys, "verify", a_file, "--suite", suite, "--format", fmt,
+        "--out", str(out_file), *extra,
+    )
+    assert code == want_code
+    assert out_file.read_bytes() == (GOLDEN / f"{stem}.{fmt}").read_bytes()

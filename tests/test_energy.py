@@ -11,10 +11,9 @@ from sumprodlab.field import CeilingExceeded
 from sumprodlab.sets import ArithSet, dilate, translate
 from sumprodlab.energy import (
     additive_energy,
-    additive_energy_quadruples,
+    energy_quadruples,
     is_sidon,
     multiplicative_energy,
-    multiplicative_energy_quadruples,
     representation_function,
     shift_intersection,
     shift_intersection_report,
@@ -32,14 +31,14 @@ def test_additive_energy_values():
     assert additive_energy(fset(0, 1, 2)) == 19
     assert additive_energy(fset(42)) == 1
     assert additive_energy(fset(1, 2, 4, 8)) == 28  # Sidon: 2n^2 - n
-    assert additive_energy_quadruples(fset(1, 2, 4, 8)) == 28
+    assert energy_quadruples(fset(1, 2, 4, 8), "plus") == 28
 
 
 def test_multiplicative_energy_values():
     assert multiplicative_energy(fset(1, 2, 4)) == 19
     assert multiplicative_energy(fset(5)) == 1
     assert multiplicative_energy(fset(1, 2, 3)) == 15
-    assert multiplicative_energy_quadruples(fset(1, 2, 3)) == 15
+    assert energy_quadruples(fset(1, 2, 3), "times") == 15
 
 
 def test_energy_bounds():
@@ -53,8 +52,8 @@ def test_hashed_energy_matches_oracle_seeded():
     for _ in range(12):
         n = rng.randint(1, 9)
         s = ArithSet(rng.sample(range(-40, 40), n))
-        assert additive_energy(s) == additive_energy_quadruples(s)
-        assert multiplicative_energy(s) == multiplicative_energy_quadruples(s)
+        assert additive_energy(s) == energy_quadruples(s, "plus")
+        assert multiplicative_energy(s) == energy_quadruples(s, "times")
 
 
 def test_representation_function_mass():
@@ -88,8 +87,11 @@ def test_sigma_values():
 @given(small_sets, small_sets)
 @settings(max_examples=40)
 def test_sigma_plus_equals_representation_sum(a, b):
+    # Both sides against plain pair enumeration: sigma itself reads r_{B+B}.
+    pairs = sum(1 for b1 in b for b2 in b if (b1 + b2) in a)
     counts = representation_function(b, b, "plus")
-    assert sigma(a, b, "plus") == sum(counts.get(x, 0) for x in a)
+    assert sigma(a, b, "plus") == pairs
+    assert sum(counts.get(x, 0) for x in a) == pairs
 
 
 def test_sidon_characterization_both_directions():

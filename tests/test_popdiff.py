@@ -198,6 +198,16 @@ def test_quadruple_bound_default_floor_is_least_solution_count():
     assert quadruple_energy_bound(a, x, r).solutions_floor == least
 
 
+def test_quadruple_bound_with_zero_floor_uses_every_solution():
+    a = ArithSet([1, 2, 4, 8])
+    x = ratio_set(a, a)
+    r = ArithSet([2, Fraction(1, 2), 4])
+    bound = quadruple_energy_bound(a, x, r, 0)
+    assert bound.solutions_floor == bound.floor == 0
+    every = sum(one_minus_x_solutions(v, x) for v in r)
+    assert bound.distinct_quadruples == len(a) * every > 0
+
+
 def test_ratio_sets_require_two_elements():
     with pytest.raises(ValueError):
         build_ratio_sets(fset(0, 1), fset(2))

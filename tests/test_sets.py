@@ -132,6 +132,16 @@ def test_residue_arithmetic():
         x / Residue(0, 7)
 
 
+def test_residue_equality_agrees_with_hash():
+    # A residue equals no plain int, so equal values always hash equally.
+    assert Residue(3, 7) != 3
+    assert Residue(3, 7) != 10
+    assert 3 not in {Residue(3, 7)}
+    assert Residue(10, 7) == Residue(3, 7)
+    assert hash(Residue(10, 7)) == hash(Residue(3, 7))
+    assert Residue(3, 7) != Residue(3, 11)
+
+
 @given(small_sets, small_sets)
 @settings(max_examples=60)
 def test_sumset_cardinality_floor(s, t):

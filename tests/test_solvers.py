@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from sumprodlab.graph import build_containment_graph, lk_profile
 from sumprodlab.sets import ArithSet, sumset, translate
 from sumprodlab.solvers import (
     InfeasibleWithinUniverse,
@@ -13,7 +14,6 @@ from sumprodlab.solvers import (
     decompose,
     decomposition_report,
     default_universe,
-    lk_of_candidate,
     min_basis,
 )
 
@@ -115,11 +115,11 @@ def test_default_universe_contains_shifted_sums():
 
 def test_lk_of_candidate_roundtrip():
     a = fset(1, 2, 3)
-    prof = lk_of_candidate(a, fset(0, 1, 2))
+    prof = lk_profile(build_containment_graph(fset(0, 1, 2), a))
     assert prof.l_value == Fraction(3, 7)
     assert prof.k_squared == 3
     with pytest.raises(ValueError):
-        lk_of_candidate(fset(1), fset(0))  # no edges
+        lk_profile(build_containment_graph(fset(0), fset(1)))  # no edges
 
 
 def test_decompose_worked_values():

@@ -179,6 +179,15 @@ def test_shift_bound_check_builds_the_product_set_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_stats_builds_the_product_set_twice(monkeypatch):
+    # Once for |A*A| and once inside (A*A)/A; the doubling reads |A*A|.
+    in_sets = _counting(monkeypatch, sets, "product_set")
+    in_verify = _counting(monkeypatch, verify, "product_set")
+    rec = stats_record(gp(8))
+    assert len(in_sets) + len(in_verify) == 2
+    assert rec.details["doubling"] == Fraction(15, 8)
+
+
 def test_difference_count_check():
     rec = difference_count_check(fset(1), fset(0, 1, 2))
     assert rec.lhs == 2
@@ -215,7 +224,7 @@ def test_ratio_set_bounds_ceiling_before_the_cube_walk(monkeypatch):
 
 
 def test_basis_chain_ceiling_before_the_solution_counts(monkeypatch):
-    solutions = _counting(monkeypatch, popdiff, "one_minus_x_solutions")
+    solutions = _counting(monkeypatch, popdiff, "_solution_pairs")
     a = generate(parse_family("random:n=40,lo=1,hi=200,seed=3"))
     rec = run_claim("basis_chain", a)
     assert rec.verdict == "ceiling"
@@ -295,6 +304,39 @@ def test_run_suite_keeps_going_past_an_undefined_row(tmp_path):
     assert exit_code(rows) == 0
     csv_path, _json_path = write_report(rows, summary, tmp_path)
     assert len(csv_path.read_text().splitlines()) == 7
+
+
+def test_run_suite_writes_every_row_outside_a_claims_domain(tmp_path):
+    # 0 is in the progression; the subgroup lives in F_13 and no two of its
+    # elements sum into it.
+    ap, subgroup = parse_family("ap:d=3,n=9"), parse_family("subgroup:p=13,d=4")
+    rows, summary = run_suite([ap, subgroup], sorted(CLAIMS), {"trials": 50})
+    assert len(rows) == 2 * len(CLAIMS)
+    undefined = {(r["instance"], r["claim_id"]) for r in rows if r["verdict"] == "undefined"}
+    assert undefined == {
+        (ap.label(), "ratio_energy"),
+        (ap.label(), "popular_ratios"),
+        (ap.label(), "basis_chain"),
+        (subgroup.label(), "popular_ratios"),
+        (subgroup.label(), "basis_chain"),
+        (subgroup.label(), "decomposition"),
+    }
+    csv_path, _json_path = write_report(rows, summary, tmp_path)
+    assert len(csv_path.read_text().splitlines()) == len(rows) + 1
+
+
+def test_singleton_rows_needing_two_elements_are_undefined():
+    # {1}: 1 + 1 is not in it either, so its containment graph has no edge.
+    rows, _summary = run_suite([parse_family("ap:a=1,d=1,n=1")], sorted(CLAIMS), {"trials": 50})
+    assert len(rows) == len(CLAIMS)
+    undefined = {r["claim_id"] for r in rows if r["verdict"] == "undefined"}
+    assert undefined == {
+        "decomposition",
+        "ratio_set_bounds",
+        "shift_bound",
+        "popular_ratios",
+        "basis_chain",
+    }
 
 
 def test_jsonable_fractions_and_sets():
