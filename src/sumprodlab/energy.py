@@ -2,17 +2,19 @@
 
 The additive energy of a set S is the number of ordered quadruples
 (a1, a2, a3, a4) in S^4 with a1 + a2 = a3 + a4; multiplicative energy is
-the analogue for products.  Both are computed by hashing exact values
-into a representation function r(s) = #{(u, v) : u o v = s} and summing
-r(s)^2 -- O(|S|^2) time and space.  The other pair counts here read the
-same function: sigma_A(B) sums r_{B+-B} over A, and the shift overlap
-|A ∩ (A+α)| is r_{A-A}(α).  The O(|S|^4) quadruple enumeration
+the analogue for products.  Both are computed by counting the raw values
+of the pair kernel in :mod:`sumprodlab.sets` (ints modulo p in F_p) into a
+representation function r(s) = #{(u, v) : u o v = s} and summing r(s)^2
+-- O(|S|^2) time and space, with no field element built per pair.  The
+other pair counts here read the same function: sigma_A(B) sums r_{B+-B}
+over A, and the shift overlap |A ∩ (A+α)| is r_{A-A}(α).  The O(|S|^4) quadruple enumeration
 :func:`energy_quadruples` is kept alongside as the independent oracle
 and slow path for cross-checking both energies.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,15 +22,16 @@ from .field import CeilingExceeded, FieldElement, coerce_element
 from .sets import (
     DEFAULT_ELEMENT_CEILING,
     ArithSet,
+    PairCounts,
     aa_over_a,
     multiplicative_doubling,
     require_same_mode,
     translate,
 )
 
+#: Element-wise operations of the quadruple oracle.
 _OPS = {
     "plus": lambda a, b: a + b,
-    "minus": lambda a, b: a - b,
     "times": lambda a, b: a * b,
 }
 
@@ -38,39 +41,23 @@ def representation_function(
     t: ArithSet,
     op: str = "plus",
     ceiling: int | None = DEFAULT_ELEMENT_CEILING,
-) -> dict[FieldElement, int]:
+) -> PairCounts:
     """Counts r(x) = #{(u, v) in s x t : u op v = x}.
 
     ``op`` is one of ``plus``, ``minus``, ``times``, ``divide``; for
     ``divide``, pairs with a zero divisor are skipped.  The counts always
-    total |s||t| minus the skipped pairs.
+    total |s||t| minus the skipped pairs.  The result is a read-only
+    mapping from field elements to counts.
     """
     if len(s) == 0 or len(t) == 0:
         raise ValueError("representation function requires nonempty sets")
     require_same_mode(s, t)
     if ceiling is not None and len(s) * len(t) > ceiling:
         raise CeilingExceeded("representation function", len(s) * len(t), ceiling)
-    counts: dict[FieldElement, int] = {}
-    if op == "divide":
-        for u in s:
-            for v in t:
-                if not v:
-                    continue
-                x = u / v
-                counts[x] = counts.get(x, 0) + 1
-        return counts
-    try:
-        fn = _OPS[op]
-    except KeyError:
-        raise ValueError(f"unknown operation {op!r}") from None
-    for u in s:
-        for v in t:
-            x = fn(u, v)
-            counts[x] = counts.get(x, 0) + 1
-    return counts
+    return PairCounts(s, t, op)
 
 
-def energy_from_counts(counts: dict[FieldElement, int]) -> int:
+def energy_from_counts(counts: Mapping) -> int:
     return sum(r * r for r in counts.values())
 
 
@@ -91,7 +78,7 @@ def energy_quadruples(s: ArithSet, op: str = "plus") -> int:
 
     ``op`` is ``plus`` (additive energy) or ``times`` (multiplicative).
     """
-    if op not in ("plus", "times"):
+    if op not in _OPS:
         raise ValueError(f"unknown operation {op!r}")
     fn = _OPS[op]
     elems = s.elements

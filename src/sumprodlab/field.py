@@ -211,8 +211,3 @@ def coerce_element(x, p: int | None = None) -> FieldElement:
             return Residue(x.numerator, p)
         return Residue(x.numerator, p) / Residue(x.denominator, p)
     raise TypeError(f"cannot interpret {x!r} as a residue mod {p}")
-
-
-def format_element(x: FieldElement) -> str:
-    """Canonical text form: lowest-terms ``n`` / ``n/d``, or a bare residue."""
-    return str(x)

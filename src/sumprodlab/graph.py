@@ -18,10 +18,11 @@ import math
 import statistics
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 from .energy import representation_function
 from .field import FieldElement, OutsideDomain
-from .sets import ArithSet, require_same_mode
+from .sets import ArithSet, _pair_rows, require_same_mode
 
 
 class ContainmentGraph:
@@ -33,16 +34,13 @@ class ContainmentGraph:
         if len(basis) == 0 or len(target) == 0:
             raise ValueError("containment graph requires nonempty sets")
         require_same_mode(basis, target)
-        elems = basis.elements
-        n = len(elems)
+        n = len(basis)
+        index = target._index
         masks = []
         edges = 0
-        for i in range(n):
-            mask = 0
-            bi = elems[i]
-            for j in range(n):
-                if (bi + elems[j]) in target:
-                    mask |= 1 << j
+        # Row i of the pair sums, tested against the raw index of A.
+        for row in _pair_rows(basis, basis, "plus"):
+            mask = sum(1 << j for j in compress(range(n), map(index.__contains__, row)))
             masks.append(mask)
             edges += mask.bit_count()
         object.__setattr__(self, "basis", basis)
@@ -63,9 +61,9 @@ class ContainmentGraph:
 
     def neighborhood(self, i: int) -> ArithSet:
         mask = self.adjacency[i]
-        elems = self.basis.elements
-        return ArithSet(
-            (elems[j] for j in range(len(elems)) if mask >> j & 1), p=self.basis.p
+        values = self.basis._values
+        return ArithSet._from_values(
+            (values[j] for j in range(len(values)) if mask >> j & 1), self.basis.p
         )
 
 

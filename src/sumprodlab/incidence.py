@@ -2,28 +2,35 @@
 
 T(X, Y, Z) is the number of ordered triples of pairwise-distinct
 collinear points (p, q, r) with p in X x X, q in Y x Y, r in Z x Z.
-The production path hashes every pair of distinct grid points to a
-canonical line key and then counts, per line, the ordered distinct
-triples by membership class; the brute-force path enumerates all point
-triples and tests the 3x3 determinant.  Both are exact and are kept as
-independent routes for cross-checking.
+The production path takes, for each point p of the first grid, a
+histogram of the directions from p to the points of the other two grids
+and counts the pairs (q, r) sharing a direction; the brute-force path
+enumerates all point triples and tests the 3x3 determinant.  Both are
+exact and are kept as independent routes for cross-checking.
 
 Rational coordinates are scaled by a common denominator so that the hot
 loops run on plain integers; line keys are unscaled back to the original
-coordinates.  Prime-field grids use the same machinery with arithmetic
-modulo p.
+coordinates.  Prime-field grids run on the ints modulo p that the sets
+store, with each coordinate difference inverted once per call.
 
-The dyadic table classifies every line meeting at least two points of
-either of two grids by its exact per-grid richness; expanding the table
-with those exact counts reproduces T, and the lines can also be grouped
-into power-of-two richness buckets.
+The dyadic table hashes every pair of distinct points of two grids to a
+canonical line key and classifies every line meeting at least two points
+of either grid by its exact per-grid richness; expanding the table with
+those exact counts reproduces T, and the lines can also be grouped into
+power-of-two richness buckets.
+
+Every pair-ceiling guard sizes the union of the grids from the value
+sets alone, before any point is built.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 from .field import CeilingExceeded, FieldElement, Residue
 from .sets import ArithSet, require_same_mode
@@ -81,7 +88,28 @@ def _values_for(sets: list[ArithSet]) -> tuple[list[list[int]], int, int | None]
     if p is None:
         vals, scale = _scaled_values(sets)
         return vals, scale, None
-    return [[el.value for el in s] for s in sets], 1, p
+    return [list(s._values) for s in sets], 1, p
+
+
+def _union_size(value_lists: list[list[int]]) -> int:
+    """|union of the grids V x V|, by inclusion-exclusion over the value sets:
+    the grids of a group of sets meet in the grid of their common values."""
+    sets = [set(vals) for vals in value_lists]
+    total = 0
+    for r in range(1, len(sets) + 1):
+        sign = 1 if r % 2 else -1
+        for group in combinations(sets, r):
+            total += sign * len(set.intersection(*group)) ** 2
+    return total
+
+
+def _inverses(value_lists: list[list[int]], p: int) -> dict[int, int]:
+    """pow(d, -1, p) for every nonzero difference d of the coordinate values,
+    each computed once."""
+    vals = set().union(*value_lists)
+    diffs = {(u - v) % p for u in vals for v in vals}
+    diffs.discard(0)
+    return {d: pow(d, -1, p) for d in diffs}
 
 
 def _union_points(value_lists: list[list[int]]) -> tuple[list[tuple[int, int]], list[int]]:
@@ -123,7 +151,9 @@ def _group_lines_int(points: list[tuple[int, int]]) -> dict[tuple, set[int]]:
     return lines
 
 
-def _group_lines_mod(points: list[tuple[int, int]], p: int) -> dict[tuple, set[int]]:
+def _group_lines_mod(
+    points: list[tuple[int, int]], p: int, inverse: dict[int, int]
+) -> dict[tuple, set[int]]:
     lines: dict[tuple, set[int]] = {}
     m = len(points)
     for i in range(m):
@@ -133,11 +163,10 @@ def _group_lines_mod(points: list[tuple[int, int]], p: int) -> dict[tuple, set[i
             a = (y2 - y1) % p
             b = (x1 - x2) % p
             if a:
-                inv = pow(a, p - 2, p)
+                inv = inverse[a]
                 key = (1, b * inv % p, (a * x1 + b * y1) * inv % p)
             else:
-                inv = pow(b, p - 2, p)
-                key = (0, 1, (b * y1) * inv % p)
+                key = (0, 1, y1)
             got = lines.get(key)
             if got is None:
                 lines[key] = {i, j}
@@ -147,38 +176,43 @@ def _group_lines_mod(points: list[tuple[int, int]], p: int) -> dict[tuple, set[i
     return lines
 
 
-def _group_lines(points, p):
-    return _group_lines_int(points) if p is None else _group_lines_mod(points, p)
-
-
-def _distinct_triples(class_counts: list[int]) -> int:
-    """Ordered pairwise-distinct triples (p, q, r) with p in grid 0,
-    q in grid 1, r in grid 2, from per-mask point counts on one line."""
-    f = g = h = fg = fh = gh = fgh = 0
-    for mask in range(1, 8):
-        n = class_counts[mask]
-        if not n:
-            continue
-        if mask & 1:
-            f += n
-        if mask & 2:
-            g += n
-        if mask & 4:
-            h += n
-        if mask & 3 == 3:
-            fg += n
-        if mask & 5 == 5:
-            fh += n
-        if mask & 6 == 6:
-            gh += n
-        if mask & 7 == 7:
-            fgh += n
-    return f * g * h - fg * h - fh * g - gh * f + 2 * fgh
+def _group_lines(points, value_lists, p):
+    if p is None:
+        return _group_lines_int(points)
+    return _group_lines_mod(points, p, _inverses(value_lists, p))
 
 
 def _guard_pairs(m: int, ceiling: int | None) -> None:
     if ceiling is not None and m * (m - 1) // 2 > ceiling:
         raise CeilingExceeded("line hashing over point pairs", m * (m - 1) // 2, ceiling)
+
+
+def _directions(
+    x1: int, y1: int, vals: list[int], p: int | None, inverse: dict | None, after: bool
+) -> Counter:
+    """Histogram of the directions from (x1, y1) to the other points of the
+    grid vals x vals, or, with ``after``, to those after it in lexicographic
+    order.  Over Q (scaled to integers) a direction is the lowest-terms
+    (dy, dx) with dx > 0 and the vertical one is (1, 0); over F_p it is the
+    slope dy * inv(dx) mod p and the vertical one is p."""
+    dys = [y - y1 for y in vals]
+    cols = [x2 - x1 for x2 in vals if (x2 > x1 if after else x2 != x1)]
+    if p is None:
+        neg = [-d for d in dys]
+        keys = []
+        for dx in cols:
+            ds = dys if dx > 0 else neg
+            dx = abs(dx)
+            keys += [(d // (g := gcd(dx, d)), dx // g) for d in ds]
+        hist = Counter(keys)
+        vertical = (1, 0)
+    else:
+        ws = [inverse[dx % p] for dx in cols]
+        hist = Counter([d * w % p for w in ws for d in dys])
+        vertical = p
+    if x1 in vals:  # the column of (x1, y1) itself
+        hist[vertical] = sum(1 for d in dys if (d > 0 if after else d))
+    return hist
 
 
 def collinear_triples(
@@ -187,21 +221,40 @@ def collinear_triples(
     z: ArithSet,
     pair_ceiling: int | None = DEFAULT_PAIR_CEILING,
 ) -> int:
-    """T(X, Y, Z) by grouping grid points into lines."""
+    """T(X, Y, Z) by counting directions from each point of the first grid.
+
+    From a point P of X x X, the pairs (Q, R) of Y x Y and Z x Z that are
+    collinear with P and distinct from it share a direction from P.  So T
+    sums g*h over every P and direction, where g and h count the points of
+    Y x Y and Z x Z in that direction, less the pairs with Q = R: the
+    points of (Y x Y) ∩ (Z x Z) other than P.
+
+    When X = Y = Z, a line through k points holds k(k-1)(k-2) triples, and
+    its i-th point in lexicographic order has k - i of them after it; the
+    sum of c(c-1) over those counts c is a third of k(k-1)(k-2), so each
+    pair of points is looked at once instead of twice.
+    """
     if not (len(x) and len(y) and len(z)):
         raise ValueError("all three sets must be nonempty")
     values, _scale, p = _values_for([x, y, z])
-    points, masks = _union_points(values)
-    _guard_pairs(len(points), pair_ceiling)
-    lines = _group_lines(points, p)
+    _guard_pairs(_union_size(values), pair_ceiling)
+    inverse = None if p is None else _inverses(values, p)
+    v0, v1, v2 = values
     total = 0
-    for members in lines.values():
-        if len(members) < 3:
-            continue
-        counts = [0] * 8
-        for idx in members:
-            counts[masks[idx]] += 1
-        total += _distinct_triples(counts)
+    if v0 == v1 == v2:
+        for x1 in v0:
+            for y1 in v0:
+                hist = _directions(x1, y1, v0, p, inverse, True)
+                total += sum(c * (c - 1) for c in hist.values())
+        return 3 * total
+    common = set(v1) & set(v2)
+    same = v1 == v2
+    for x1 in v0:
+        for y1 in v0:
+            g = _directions(x1, y1, v1, p, inverse, False)
+            h = g if same else _directions(x1, y1, v2, p, inverse, False)
+            total += sum(n * h[d] for d, n in g.items())
+            total -= len(common) ** 2 - (x1 in common and y1 in common)
     return total
 
 
@@ -359,9 +412,9 @@ def dyadic_table(
     if len(c) < 2 and len(b) < 2:
         raise ValueError("at least one of the sets needs two elements")
     values, scale, p = _values_for([c, b])
+    _guard_pairs(_union_size(values), pair_ceiling)
     points, masks = _union_points(values)
-    _guard_pairs(len(points), pair_ceiling)
-    lines = _group_lines(points, p)
+    lines = _group_lines(points, values, p)
     records = []
     for key, members in lines.items():
         in_first = in_second = in_both = 0

@@ -37,6 +37,8 @@ class PopDiffCertificate:
     conservation_ok:   sum of n(x) equals the enumerated triple count.
     cauchy_schwarz_ok: (sum n(x))^2 <= |R| * Q, exactly.
     within_target_ratios: R is a subset of A/A (checked whenever 0 not in A).
+    target_ratios: the set A/A that check read, or None when R is empty and
+    the check needed none.
     skipped_triples counts B^3 triples dropped for a vanishing denominator;
     any nonzero value is flagged because those tuples fall outside the
     collision count by construction.
@@ -51,6 +53,7 @@ class PopDiffCertificate:
     conservation_ok: bool
     cauchy_schwarz_ok: bool
     within_target_ratios: bool
+    target_ratios: ArithSet | None
 
     @property
     def multiplicity_sum(self) -> int:
@@ -105,6 +108,7 @@ def build_popular_ratios(
     total = sum(multiplicity.values())
     cs_ok = total * total <= len(ratios) * collision_count
     within = True
+    target = None
     if len(ratios):
         target = ratio_set(a, a, ceiling)
         within = all(x in target for x in ratios)
@@ -118,6 +122,7 @@ def build_popular_ratios(
         conservation_ok=(total == triples_total),
         cauchy_schwarz_ok=cs_ok,
         within_target_ratios=within,
+        target_ratios=target,
     )
 
 

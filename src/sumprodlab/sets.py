@@ -23,7 +23,11 @@ Comment lines start with ``#``; writers always emit canonical order.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
+from collections.abc import Mapping
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Iterator
 
 from .field import (
@@ -34,7 +38,6 @@ from .field import (
     Residue,
     check_prime_modulus,
     coerce_element,
-    format_element,
 )
 
 #: Ceiling on the number of elementwise pairs / results a single set
@@ -49,9 +52,16 @@ class ArithSet:
     for prime-field sets.  Elements are sorted numerically (rational mode)
     or by canonical residue (prime-field mode), so every downstream count
     is deterministic.
+
+    Storage: ``_values`` holds the canonical values in sorted order and
+    ``_index`` the same values as a frozenset.  In rational mode the values
+    are the ``Fraction`` elements themselves.  In prime-field mode they are
+    plain ints in ``[0, p)``, and the ``Residue`` tuple :attr:`elements` is
+    built only when a caller asks for it.  The kernels of the package read
+    ``_values`` and ``_index``; only this module builds them.
     """
 
-    __slots__ = ("elements", "p", "_index")
+    __slots__ = ("_values", "p", "_index", "_elements")
 
     def __init__(self, elements: Iterable = (), p: int | None = None):
         items = list(elements)
@@ -60,42 +70,70 @@ class ArithSet:
                 if isinstance(x, Residue):
                     p = x.p
                     break
-        if p is not None:
+        if p is None:
+            values = {coerce_element(x, None) for x in items}
+        else:
             check_prime_modulus(p)
-        coerced = {coerce_element(x, p) for x in items}
-        object.__setattr__(self, "elements", tuple(sorted(coerced)))
+            values = {_canonical(x, p) for x in items}
+        self._store(values, p)
+
+    @classmethod
+    def _from_values(cls, values: Iterable, p: int | None) -> "ArithSet":
+        """A set from distinct canonical values, as the kernels produce them:
+        ints already reduced into ``[0, p)``, or ``Fraction`` objects.  No
+        coercion and no primality check."""
+        s = object.__new__(cls)
+        s._store(values, p)
+        return s
+
+    def _store(self, values: Iterable, p: int | None) -> None:
+        # Built from a set, the index reuses its hashes (a Fraction's hash
+        # is not cached).
+        index = frozenset(values)
+        ordered = tuple(sorted(index))
+        object.__setattr__(self, "_values", ordered)
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "_index", frozenset(coerced))
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_elements", ordered if p is None else None)
 
     def __setattr__(self, *args):
         raise AttributeError("ArithSet is immutable")
 
+    @property
+    def elements(self) -> tuple[FieldElement, ...]:
+        """The elements in canonical order, as ``Fraction`` or ``Residue``."""
+        got = self._elements
+        if got is None:
+            got = tuple(Residue(v, self.p) for v in self._values)
+            object.__setattr__(self, "_elements", got)
+        return got
+
     # -- container protocol -------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self._values)
 
     def __iter__(self) -> Iterator[FieldElement]:
         return iter(self.elements)
 
     def __contains__(self, x) -> bool:
         try:
-            return coerce_element(x, self.p) in self._index
+            return _canonical(x, self.p) in self._index
         except (ModeMismatchError, TypeError, ValueError):
             return False
 
     def __eq__(self, other):
         if not isinstance(other, ArithSet):
             return NotImplemented
-        return self.p == other.p and self.elements == other.elements
+        return self.p == other.p and self._values == other._values
 
     def __hash__(self):
-        return hash((self.p, self.elements))
+        return hash((self.p, self._values))
 
     def __repr__(self):
-        body = ", ".join(format_element(x) for x in self.elements[:8])
-        if len(self.elements) > 8:
-            body += f", ... ({len(self.elements)} elements)"
+        body = ", ".join(map(str, self._values[:8]))
+        if len(self._values) > 8:
+            body += f", ... ({len(self._values)} elements)"
         mode = "rational" if self.p is None else f"fp {self.p}"
         return f"ArithSet({{{body}}}, {mode})"
 
@@ -113,21 +151,117 @@ class ArithSet:
         return self.p == other.p
 
     def contains_zero(self) -> bool:
-        return any(not x for x in self.elements)
+        return 0 in self._index
 
     def index_of(self, x) -> int:
         """Position of ``x`` in canonical order (used by graph code)."""
-        x = coerce_element(x, self.p)
-        lo, hi = 0, len(self.elements)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.elements[mid] < x:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo == len(self.elements) or self.elements[lo] != x:
-            raise KeyError(f"{x} not in set")
-        return lo
+        v = _canonical(x, self.p)
+        i = bisect_left(self._values, v)
+        if i == len(self._values) or self._values[i] != v:
+            raise KeyError(f"{v} not in set")
+        return i
+
+
+def _canonical(x, p: int | None):
+    """The stored value of ``x`` in the field of ``p``: a ``Fraction``, or an
+    int in ``[0, p)``."""
+    if p is None:
+        return coerce_element(x, None)
+    if isinstance(x, int):
+        return x % p
+    return coerce_element(x, p).value
+
+
+#: Row builders of the pair kernel: (u, row of t, p) -> raw values u op v.
+_ROWS = {
+    "plus": lambda u, vs, p: [u + v for v in vs],
+    "minus": lambda u, vs, p: [u - v for v in vs],
+    "times": lambda u, vs, p: [u * v for v in vs],
+    "divide": lambda u, vs, p: [u / v for v in vs],
+}
+_ROWS_MOD = {
+    "plus": lambda u, vs, p: [(u + v) % p for v in vs],
+    "minus": lambda u, vs, p: [(u - v) % p for v in vs],
+    "times": lambda u, vs, p: [u * v % p for v in vs],
+}
+#: Operations with u op v = v op u: over s x s the kernel needs only the
+#: pairs with v at or after u.
+_COMMUTATIVE = ("plus", "times")
+
+
+def _pair_rows(s: ArithSet, t: ArithSet, op: str, upper: bool = False) -> Iterator[list]:
+    """The pair kernel: for each u of s in canonical order, the list of raw
+    values ``u op v`` over the v of t in canonical order.  With ``upper``
+    (for t = s) a row holds only the v at or after u, the diagonal first.
+
+    ``op`` is one of ``plus``, ``minus``, ``times``, ``divide``; ``divide``
+    skips zero divisors.  In F_p each divisor is inverted once and the rows
+    multiply by the inverses; over Q the ``Fraction`` operations run as
+    they are.
+    """
+    xs, ys, p = s._values, t._values, s.p
+    if op == "divide":
+        ys = [v for v in ys if v]
+        if p is not None:
+            ys = [pow(v, -1, p) for v in ys]
+            op = "times"
+    try:
+        row = _ROWS[op] if p is None else _ROWS_MOD[op]
+    except KeyError:
+        raise ValueError(f"unknown operation {op!r}") from None
+    if upper:
+        return (row(u, ys[i:], p) for i, u in enumerate(xs))
+    return (row(u, ys, p) for u in xs)
+
+
+class PairCounts(Mapping):
+    """The representation function r(x) = #{(u, v) : u op v = x} as a
+    read-only mapping from field elements to counts.
+
+    The counts are kept on the raw values of the pair kernel.  A lookup
+    coerces its key as :meth:`ArithSet.__contains__` does, ``values()``
+    reads the stored counts, and only iterating over the keys builds field
+    elements.
+    """
+
+    __slots__ = ("_counts", "p")
+
+    def __init__(self, s: ArithSet, t: ArithSet, op: str):
+        self.p = s.p
+        if op not in _COMMUTATIVE or s != t:
+            self._counts = Counter(chain.from_iterable(_pair_rows(s, t, op)))
+            return
+        # Each pair u != v of the upper rows stands for (u, v) and (v, u);
+        # the diagonal value opens every row and counts once.
+        upper = Counter()
+        diagonal = []
+        for row in _pair_rows(s, s, op, upper=True):
+            upper.update(row)
+            diagonal.append(row[0])
+        counts = {x: 2 * n for x, n in upper.items()}
+        for x in diagonal:
+            counts[x] -= 1
+        self._counts = counts
+
+    def __getitem__(self, x) -> int:
+        try:
+            got = self._counts.get(_canonical(x, self.p))
+        except (ModeMismatchError, TypeError, ValueError):
+            got = None
+        if got is None:
+            raise KeyError(x)
+        return got
+
+    def __iter__(self) -> Iterator[FieldElement]:
+        if self.p is None:
+            return iter(self._counts)
+        return (Residue(v, self.p) for v in self._counts)
+
+    def __len__(self) -> int:
+        return len(self._counts)
+
+    def values(self):
+        return self._counts.values()
 
 
 def require_same_mode(s: ArithSet, *others: ArithSet) -> None:
@@ -150,11 +284,14 @@ def _guard(what: str, requested: int, ceiling: int | None) -> None:
 
 def _pairwise(s, t, op, ceiling=None, what="pairwise set operation"):
     _guard(what, len(s) * len(t), ceiling)
-    out = set()
-    for a in s:
-        for b in t:
-            out.add(op(a, b))
-    return ArithSet(out, p=s.p)
+    upper = op in _COMMUTATIVE and s == t
+    values = set(chain.from_iterable(_pair_rows(s, t, op, upper)))
+    return ArithSet._from_values(values, s.p)
+
+
+def _single(s: ArithSet, x) -> ArithSet:
+    """The singleton {x} in the field of ``s``."""
+    return ArithSet._from_values((_canonical(x, s.p),), s.p)
 
 
 def sumset(s: ArithSet, t: ArithSet, ceiling: int | None = None) -> ArithSet:
@@ -165,21 +302,21 @@ def sumset(s: ArithSet, t: ArithSet, ceiling: int | None = None) -> ArithSet:
     """
     _require_nonempty(s, t)
     require_same_mode(s, t)
-    return _pairwise(s, t, lambda a, b: a + b, ceiling, "sumset")
+    return _pairwise(s, t, "plus", ceiling, "sumset")
 
 
 def difference_set(s: ArithSet, t: ArithSet, ceiling: int | None = None) -> ArithSet:
     """All pairwise differences ``{a - b}``."""
     _require_nonempty(s, t)
     require_same_mode(s, t)
-    return _pairwise(s, t, lambda a, b: a - b, ceiling, "difference set")
+    return _pairwise(s, t, "minus", ceiling, "difference set")
 
 
 def product_set(s: ArithSet, t: ArithSet, ceiling: int | None = None) -> ArithSet:
     """All pairwise products ``{a * b}``."""
     _require_nonempty(s, t)
     require_same_mode(s, t)
-    return _pairwise(s, t, lambda a, b: a * b, ceiling, "product set")
+    return _pairwise(s, t, "times", ceiling, "product set")
 
 
 def ratio_set(s: ArithSet, t: ArithSet, ceiling: int | None = None) -> ArithSet:
@@ -188,23 +325,22 @@ def ratio_set(s: ArithSet, t: ArithSet, ceiling: int | None = None) -> ArithSet:
     require_same_mode(s, t)
     if t.contains_zero():
         raise ZeroDivisionError("ratio set requires 0 not in the divisor set")
-    return _pairwise(s, t, lambda a, b: a / b, ceiling, "ratio set")
+    return _pairwise(s, t, "divide", ceiling, "ratio set")
 
 
 def translate(s: ArithSet, shift) -> ArithSet:
-    shift = coerce_element(shift, s.p)
-    return ArithSet((x + shift for x in s), p=s.p)
+    return _pairwise(s, _single(s, shift), "plus")
 
 
 def dilate(s: ArithSet, factor) -> ArithSet:
-    factor = coerce_element(factor, s.p)
-    if not factor:
+    factor = _single(s, factor)
+    if factor.contains_zero():
         raise ValueError("dilation factor must be nonzero")
-    return ArithSet((x * factor for x in s), p=s.p)
+    return _pairwise(s, factor, "times")
 
 
 def negate(s: ArithSet) -> ArithSet:
-    return ArithSet((-x for x in s), p=s.p)
+    return _pairwise(_single(s, 0), s, "minus")
 
 
 def aa_over_a(a: ArithSet, ceiling: int | None = DEFAULT_ELEMENT_CEILING) -> ArithSet:
@@ -232,7 +368,7 @@ def normalize(a: ArithSet) -> ArithSet:
     multiplicative doubling |AA|/|A| of the zero-free part.
     """
     _require_nonempty(a)
-    nonzero = [x for x in a if x]
+    nonzero = [x for x in a._values if x]
     if not nonzero:
         raise ValueError("cannot normalize {0}")
     if a.p is None:
@@ -240,7 +376,7 @@ def normalize(a: ArithSet) -> ArithSet:
         divisor = min(positive) if positive else max(nonzero)
     else:
         divisor = min(nonzero)
-    return ArithSet((x / divisor for x in nonzero), p=a.p)
+    return _pairwise(ArithSet._from_values(nonzero, a.p), _single(a, divisor), "divide")
 
 
 def multiplicative_doubling(a: ArithSet) -> Fraction:
@@ -256,7 +392,7 @@ _HEADER_PREFIX = "# field"
 
 def dumps_set(a: ArithSet) -> str:
     lines = [f"# field {'rational' if a.p is None else f'fp {a.p}'}"]
-    lines.extend(format_element(x) for x in a.elements)
+    lines.extend(map(str, a._values))
     return "\n".join(lines) + "\n"
 
 

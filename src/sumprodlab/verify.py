@@ -270,7 +270,9 @@ def basis_chain_check(
     """
     graph, profile, extract, cert = _certificate(a, b, epsilon, tau, ceiling)
     b = graph.basis
-    x = ratio_set(a, a, ceiling)
+    x = cert.target_ratios
+    if x is None:
+        x = ratio_set(a, a, ceiling)
     bound = quadruple_energy_bound(a, x, cert.ratios, ceiling=ceiling)
     n_floor = bound.solutions_floor
 

@@ -344,3 +344,13 @@ def test_jsonable_fractions_and_sets():
     assert jsonable(Fraction(4, 2)) == 2
     assert jsonable(fset(1, Fraction(1, 2))) == ["1/2", 1]
     assert jsonable({Fraction(1, 2): [fset(3)]}) == {"1/2": [[3]]}
+
+
+def test_basis_chain_builds_the_ratio_set_once(monkeypatch):
+    # The certificate's A/A is the X of the quadruple floor.
+    in_verify = _counting(monkeypatch, verify, "ratio_set")
+    in_popdiff = _counting(monkeypatch, popdiff, "ratio_set")
+    a = generate(parse_family("sumset_of_random:n=4,lo=1,hi=40,seed=5"))
+    rec = run_claim("basis_chain", a)
+    assert rec.verdict == "pass"
+    assert len(in_verify) + len(in_popdiff) == 1
