@@ -106,6 +106,7 @@ def _cmd_basis(args) -> int:
             "size": result.size,
             "counting_bound": result.counting_bound,
             "nodes": result.nodes,
+            "prunes": result.prunes,
             "universe_size": len(result.universe),
         },
         args.out,

@@ -33,7 +33,7 @@ from itertools import combinations
 from math import gcd
 
 from .field import CeilingExceeded, FieldElement, Residue
-from .sets import ArithSet, require_same_mode
+from .sets import ArithSet, _scaled_values, require_same_mode
 
 #: Ceiling on the number of point pairs hashed into line keys.
 DEFAULT_PAIR_CEILING = 100_000_000
@@ -68,18 +68,6 @@ class LineKey:
         c = a * x1 + b * y1
         scale = a if a else b
         return LineKey(a / scale, b / scale, c / scale)
-
-
-def _scaled_values(sets: list[ArithSet]) -> tuple[list[list[int]], int]:
-    """Common-denominator integer coordinates for rational sets."""
-    scale = 1
-    for s in sets:
-        for el in s:
-            scale = scale * el.denominator // math.gcd(scale, el.denominator)
-    out = []
-    for s in sets:
-        out.append([el.numerator * (scale // el.denominator) for el in s])
-    return out, scale
 
 
 def _values_for(sets: list[ArithSet]) -> tuple[list[list[int]], int, int | None]:

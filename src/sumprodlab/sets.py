@@ -23,6 +23,7 @@ Comment lines start with ``#``; writers always emit canonical order.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Mapping
@@ -269,6 +270,13 @@ def require_same_mode(s: ArithSet, *others: ArithSet) -> None:
     for t in others:
         if not s.same_mode(t):
             raise ModeMismatchError(f"cannot combine sets in modes {s.mode} and {t.mode}")
+
+
+def _scaled_values(sets: list[ArithSet]) -> tuple[list[list[int]], int]:
+    """Common-denominator integer coordinates for rational sets: each set as
+    the ints d·x, in canonical order, and the common denominator d."""
+    scale = math.lcm(*(x.denominator for s in sets for x in s._values))
+    return [[x.numerator * (scale // x.denominator) for x in s._values] for s in sets], scale
 
 
 def _require_nonempty(*sets: ArithSet) -> None:

@@ -9,25 +9,38 @@ Minimum basis.  Given a finite universe U, find a smallest B within U
 with A contained in B + B.  The paper-agnostic counting floor
 k(k+1)/2 >= |A| always applies; the search is branch and bound on the
 most-constrained uncovered element, so the result is provably optimal
-relative to U (a smaller basis outside U is never excluded).
+relative to U (a smaller basis outside U is never excluded).  The search
+runs on bitmasks over universe indices: B is a mask of universe elements,
+the covered part of A a mask of targets, and each universe element keeps
+a list of (partner, target) bits, so the targets a new element covers are
+read off its own row.
 
 Decomposition.  Decide whether A = B + C with |B|, |C| >= 2.  Translation
 freedom is removed by fixing min(B) = 0, which forces C to be a subset
 of A and B a subset of A - min(A).  The search branches on how the
 smallest unexplained element is written as b + c, propagating the
 constraint that every cross sum lands in A; exhausting the tree without
-a witness is a proof of irreducibility.
+a witness is a proof of irreducibility.  The search runs on the plain
+ints d·x, d the common denominator of A, and scales the witness back.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .energy import representation_function, shift_bound_report
 from .field import OutsideDomain
-from .sets import ArithSet, difference_set, multiplicative_doubling, sumset
+from .sets import (
+    ArithSet,
+    _scaled_values,
+    difference_set,
+    multiplicative_doubling,
+    require_same_mode,
+    sumset,
+)
 
 
 class InfeasibleWithinUniverse(RuntimeError):
@@ -65,6 +78,20 @@ class BasisSearchResult:
     counting_bound: int
     nodes: int
     universe: ArithSet
+    #: Branches cut, by cause: ``counting_floor`` and ``coverage`` (the
+    #: lower bound reached the incumbent; a tie is credited to the counting
+    #: floor), ``no_affordable_pair`` (some uncovered target has no pair
+    #: that keeps |B| below the incumbent) and ``size_cap`` (a ranked pair
+    #: skipped because it would make B as large as the incumbent).
+    prunes: dict
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def min_basis(
@@ -72,39 +99,48 @@ def min_basis(
     universe: ArithSet | None = None,
     size_cap: int | None = None,
 ) -> BasisSearchResult:
-    """Minimum-cardinality B within the universe with A ⊆ B + B."""
+    """Minimum-cardinality B within the universe with A ⊆ B + B.
+
+    Universe element i is bit i of the chosen mask and target k (the k-th
+    element of A) bit k of the covered mask; index order is value order.
+    """
     if len(a) == 0:
         raise ValueError("A must be nonempty")
     if not a.is_rational:
         raise ValueError("basis search runs in rational mode only")
     u = universe if universe is not None else default_universe(a)
+    require_same_mode(a, u)
     if size_cap is None:
         size_cap = math.ceil(2 * math.sqrt(len(a))) + 4
-    targets = list(a.elements)
-    u_elems = list(u.elements)
-    u_index = set(u_elems)
+    # The tables are built on the ints d·x, d the common denominator.
+    (targets, u_vals), _ = _scaled_values([a, u])
+    position = {x: i for i, x in enumerate(u_vals)}
 
-    pairs_for: dict = {}
-    for t in targets:
-        plist = []
-        for x in u_elems:
-            if x + x > t:
-                break
-            other = t - x
-            if other in u_index:
-                plist.append((x, other))
+    # pairs_for[k]: (i, j, mask) with u_i + u_j = t_k and i <= j, by i.
+    # partners[i]: (bit j, bit k) for every u_i + u_j = t_k, so the targets
+    # a new element covers are read off its own row.
+    pairs_for: list = [[] for _ in targets]
+    partners = []
+    for i, x in enumerate(u_vals):
+        row = []
+        for k, t in enumerate(targets):
+            j = position.get(t - x)
+            if j is not None:
+                row.append((1 << j, 1 << k))
+                if i <= j:
+                    pairs_for[k].append((i, j, 1 << i | 1 << j))
+        partners.append(row)
+    for t, plist in zip(a._values, pairs_for):
         if not plist:
             raise InfeasibleWithinUniverse(
                 f"element {t} has no representation as a pair sum from the universe"
             )
-        pairs_for[t] = plist
 
+    full = (1 << len(targets)) - 1
     floor = counting_lower_bound(len(targets))
 
     # Static per-element coverage cap, used for a set-cover style bound.
-    max_cover = max(
-        sum(1 for t in targets if (t - x) in u_index) for x in u_elems
-    )
+    max_cover = max(len(row) for row in partners)
 
     def coverage_bound(chosen_size: int, uncovered: int) -> int:
         k = 0
@@ -114,95 +150,93 @@ def min_basis(
             reachable = k * chosen_size + k * (k + 1) // 2
         return max(k, -(-uncovered // max_cover))
 
-    def greedy() -> set:
-        chosen: set = set()
-        while True:
-            uncovered = [
-                t
-                for t in targets
-                if not any(x in chosen and y in chosen for x, y in pairs_for[t])
-            ]
-            if not uncovered:
-                return chosen
-            t = min(uncovered, key=lambda v: len(pairs_for[v]))
-            best_pair = None
+    def gained(trial: int, added: int) -> int:
+        """Targets covered by ``trial`` through an element of ``added``."""
+        got = 0
+        for i in _bits(added):
+            for partner, target in partners[i]:
+                if trial & partner:
+                    got |= target
+        return got
+
+    def greedy() -> int:
+        chosen = covered = 0
+        while covered != full:
+            uncovered = full & ~covered
+            k = min(_bits(uncovered), key=lambda v: len(pairs_for[v]))
+            best_mask, best_newly = 0, 0
             best_gain = -1
-            for x, y in pairs_for[t]:
-                trial = chosen | {x, y}
-                gain = sum(
-                    1
-                    for v in uncovered
-                    if any(p in trial and q in trial for p, q in pairs_for[v])
-                )
-                gain = gain * 4 - len(trial - chosen)
+            for _i, _j, mask in pairs_for[k]:
+                added = mask & ~chosen
+                newly = gained(chosen | mask, added) & uncovered
+                gain = newly.bit_count() * 4 - added.bit_count()
                 if gain > best_gain:
                     best_gain = gain
-                    best_pair = (x, y)
-            chosen.update(best_pair)
+                    best_mask, best_newly = mask, newly
+            chosen |= best_mask
+            covered |= best_newly
+        return chosen
 
     incumbent = greedy()
-    best_size = len(incumbent) if len(incumbent) <= size_cap else size_cap + 1
-    best_set = set(incumbent) if len(incumbent) <= size_cap else None
+    within_cap = incumbent.bit_count() <= size_cap
+    best_size = incumbent.bit_count() if within_cap else size_cap + 1
+    best_set = incumbent if within_cap else None
     nodes = 0
+    prunes = dict.fromkeys(("counting_floor", "coverage", "no_affordable_pair", "size_cap"), 0)
 
-    def dfs(chosen: set, covered: set) -> None:
+    def dfs(chosen: int, covered: int, size: int) -> None:
         nonlocal best_size, best_set, nodes
         nodes += 1
-        uncovered = [t for t in targets if t not in covered]
+        uncovered = full & ~covered
         if not uncovered:
-            if len(chosen) < best_size:
-                best_size = len(chosen)
-                best_set = set(chosen)
+            if size < best_size:
+                best_size = size
+                best_set = chosen
             return
-        bound = len(chosen) + max(
-            coverage_bound(len(chosen), len(uncovered)),
-            floor - len(chosen),
-        )
-        if bound >= best_size:
+        cover_term = coverage_bound(size, uncovered.bit_count())
+        floor_term = floor - size
+        if size + max(cover_term, floor_term) >= best_size:
+            prunes["coverage" if cover_term > floor_term else "counting_floor"] += 1
             return
         # Most-constrained uncovered element: fewest pairs still affordable.
-        def viable(t):
-            return [
-                (x, y)
-                for x, y in pairs_for[t]
-                if len(chosen | {x, y}) < best_size
-            ]
-
-        target, options = None, None
-        for t in uncovered:
-            opts = viable(t)
-            if target is None or len(opts) < len(options):
-                target, options = t, opts
+        # A pair adds at most two elements, so with a slack of three or more
+        # every pair is affordable.
+        slack = best_size - size
+        options = None
+        for k in _bits(uncovered):
+            opts = pairs_for[k]
+            if slack < 3:
+                opts = [p for p in opts if (p[2] & ~chosen).bit_count() < slack]
+            if options is None or len(opts) < len(options):
+                options = opts
                 if not options:
                     break
         if not options:
+            prunes["no_affordable_pair"] += 1
             return
         ranked = []
-        for x, y in options:
-            added = {x, y} - chosen
-            trial = chosen | added
-            newly = {
-                t
-                for t in uncovered
-                if any(p in trial and q in trial for p, q in pairs_for[t])
-            }
-            ranked.append((len(added), -len(newly), (x, y), newly))
-        ranked.sort(key=lambda item: (item[0], item[1], item[2]))
-        for _, _, (x, y), newly in ranked:
-            trial = chosen | {x, y}
-            if len(trial) >= best_size:
+        for i, j, mask in options:
+            added = mask & ~chosen
+            trial = chosen | mask
+            newly = gained(trial, added) & uncovered
+            ranked.append((added.bit_count(), -newly.bit_count(), i, j, trial, newly))
+        # Ties break on (i, j), that is on the values of the pair.
+        ranked.sort()
+        for n_added, _, _, _, trial, newly in ranked:
+            if size + n_added >= best_size:
+                prunes["size_cap"] += 1
                 continue
-            dfs(trial, covered | newly)
+            dfs(trial, covered | newly, size + n_added)
 
-    dfs(set(), set())
+    dfs(0, 0, 0)
 
     if best_set is None:
         raise InfeasibleWithinUniverse(
             f"no basis of size <= {size_cap} exists within the given universe"
         )
-    basis = ArithSet(best_set, p=a.p)
+    basis = ArithSet._from_values([u._values[i] for i in _bits(best_set)], a.p)
     sums = sumset(basis, basis)
-    missing = [t for t in targets if t not in sums]
+    missing = [t for t in a._values if t not in sums]
     if missing:
         raise RuntimeError(f"search returned a non-basis; missing {missing}")
     return BasisSearchResult(
@@ -211,6 +245,7 @@ def min_basis(
         counting_bound=floor,
         nodes=nodes,
         universe=u,
+        prunes=prunes,
     )
 
 
@@ -240,13 +275,13 @@ def decompose(a: ArithSet) -> Decomposition:
         raise OutsideDomain("decomposition search runs in rational mode only")
     if len(a) < 2:
         raise OutsideDomain("need at least two elements")
-    elems = list(a.elements)
+    # The search runs on the ints d·x, d the common denominator of A.
+    (elems,), d = _scaled_values([a])
     a_index = set(elems)
     c0 = elems[0]
-    zero = Fraction(0)
     b_universe = [x - c0 for x in elems]  # candidates for B, ascending, 0 first
 
-    b_set = {zero}
+    b_set = {0}
     c_set = {c0}
     explained: dict = {c0: 1}
     nodes = 0
@@ -311,7 +346,7 @@ def decompose(a: ArithSet) -> Decomposition:
             return True
         if len(b_set) < 2:
             for beta in b_universe:
-                if beta in b_set or beta == zero:
+                if beta in b_set or beta == 0:
                     continue
                 if all((beta + c) in a_index for c in c_set):
                     witness.append((set(b_set) | {beta}, set(c_set)))
@@ -371,8 +406,8 @@ def decompose(a: ArithSet) -> Decomposition:
     b_out, c_out = witness[0]
     return Decomposition(
         reducible=True,
-        left=ArithSet(b_out),
-        right=ArithSet(c_out),
+        left=ArithSet._from_values([Fraction(v, d) for v in b_out], None),
+        right=ArithSet._from_values([Fraction(v, d) for v in c_out], None),
         nodes=nodes,
     )
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from sumprodlab.cli import main
-from sumprodlab.sets import read_set_file
+from sumprodlab.sets import ArithSet, read_set_file, write_set_file
 
 
 def run(capsys, *argv):
@@ -53,6 +53,24 @@ def test_basis_profile_and_min(tmp_path, capsys):
     code, out = run(capsys, "basis", "min", a_file)
     assert code == 0
     assert json.loads(out)["size"] == 2
+
+
+def test_basis_min_reports_prunes(tmp_path, capsys):
+    a_file = str(tmp_path / "a.txt")
+    u_file = str(tmp_path / "u.txt")
+    write_set_file(ArithSet([2, 3, 4, 11]), a_file)
+    write_set_file(ArithSet(range(8)), u_file)
+    code, out = run(capsys, "basis", "min", a_file, "--universe", u_file)
+    assert code == 0
+    payload = json.loads(out)
+    # The search tree is walked by hand in tests/test_solvers.py.
+    assert (payload["size"], payload["nodes"]) == (4, 6)
+    assert payload["prunes"] == {
+        "counting_floor": 0,
+        "coverage": 1,
+        "no_affordable_pair": 1,
+        "size_cap": 1,
+    }
 
 
 def test_decompose_cli(tmp_path, capsys):

@@ -5,9 +5,12 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sumprodlab.field import ModeMismatchError
 from sumprodlab.graph import build_containment_graph, lk_profile
-from sumprodlab.sets import ArithSet, sumset, translate
+from sumprodlab.sets import ArithSet, dilate, sumset, translate
 from sumprodlab.solvers import (
     InfeasibleWithinUniverse,
     counting_lower_bound,
@@ -91,6 +94,86 @@ def test_min_basis_infeasible_universe():
         min_basis(fset(5), universe=fset(0, 1))
     with pytest.raises(InfeasibleWithinUniverse):
         min_basis(ArithSet(range(0, 40, 2)), universe=ArithSet(range(3)), size_cap=2)
+
+
+def test_min_basis_prunes_by_cause():
+    # A = {2, 3, 4, 11} in U = {0..7}.  Floor 3, max_cover 3, and greedy
+    # picks (0,2), (0,3), (4,7): incumbent 5.  The tree, by hand:
+    #   1 root: bound 3; target 2, ranked (1,1) then (0,2).
+    #   2 {1}: bound 3; target 3, ranked (1,2) then (0,3).
+    #   3 {1,2}: bound 3; target 11, ranked (4,7) then (5,6).
+    #   4 {1,2,4,7}: covers A, incumbent 4.  Back at 3, (5,6) would make
+    #     |B| = 4: size_cap.
+    #   5 {0,1,3}: 3 + max(coverage 1, floor 0) >= 4: coverage.
+    #   6 {0,2}: slack 2, and both pairs of 11 add two elements:
+    #     no_affordable_pair.
+    res = min_basis(fset(2, 3, 4, 11), universe=ArithSet(range(8)))
+    assert (res.size, res.nodes, res.basis) == (4, 6, fset(1, 2, 4, 7))
+    assert res.prunes == {
+        "counting_floor": 0,
+        "coverage": 1,
+        "no_affordable_pair": 1,
+        "size_cap": 1,
+    }
+    # Greedy meets the floor 3 at the root, where the coverage term is 3 as
+    # well: a tie, credited to the counting floor.
+    res = min_basis(fset(0, 1, 2, 3, 4), universe=ArithSet(range(5)))
+    assert (res.size, res.nodes) == (3, 1)
+    assert res.prunes == {
+        "counting_floor": 1,
+        "coverage": 0,
+        "no_affordable_pair": 0,
+        "size_cap": 0,
+    }
+
+
+def test_min_basis_universe_in_another_mode():
+    with pytest.raises(ModeMismatchError):
+        min_basis(fset(1, 2, 3), universe=ArithSet(range(5), p=7))
+
+
+#: Positive factors and shifts with mixed denominators.
+FACTORS = st.fractions(min_value=Fraction(1, 12), max_value=12, max_denominator=30).filter(
+    lambda x: x > 0
+)
+SHIFTS = st.fractions(min_value=-10, max_value=10, max_denominator=42)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.data(),
+    st.sets(st.integers(0, 12), min_size=2, max_size=8),
+    FACTORS,
+)
+def test_min_basis_commutes_with_rational_dilation(data, u_values, lam):
+    u = ArithSet(u_values)
+    sums = sorted({x + y for x in u_values for y in u_values})
+    a = ArithSet(data.draw(st.sets(st.sampled_from(sums), min_size=1, max_size=6)))
+    base = min_basis(a, universe=u)
+    scaled = min_basis(dilate(a, lam), universe=dilate(u, lam))
+    assert (scaled.size, scaled.nodes) == (base.size, base.nodes)
+    assert scaled.basis == dilate(base.basis, lam)
+    assert scaled.prunes == base.prunes
+
+
+SMALL_INTS = st.sets(st.integers(0, 15), min_size=2, max_size=8)
+SUMSETS = st.tuples(
+    st.sets(st.integers(0, 7), min_size=2, max_size=3),
+    st.sets(st.integers(0, 7), min_size=2, max_size=3),
+).map(lambda bc: {x + y for x in bc[0] for y in bc[1]})
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(SMALL_INTS, SUMSETS), FACTORS, SHIFTS)
+def test_decompose_commutes_with_rational_affine_maps(values, lam, mu):
+    a = ArithSet(values)
+    base = decompose(a)
+    moved = decompose(translate(dilate(a, lam), mu))
+    assert (moved.reducible, moved.nodes) == (base.reducible, base.nodes)
+    assert base.reducible == oracle_reducible(a)
+    if base.reducible:
+        b, c = base.parts()
+        assert moved.parts() == (dilate(b, lam), translate(dilate(c, lam), mu))
 
 
 def test_min_basis_translation_covariance():
