@@ -156,7 +156,7 @@ def _cmd_triples(args) -> int:
         payload["triples_brute"] = brute
         payload["routes_agree"] = brute == grouped
         ok = brute == grouped
-    if x == y:
+    if x == y and max(len(x), len(z)) >= 2:  # a line table needs two points
         table = dyadic_table(x, z)
         st = st_line_bound_check(table)
         payload["richness_census"] = {

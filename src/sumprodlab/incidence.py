@@ -260,6 +260,8 @@ def collinear_triples_brute(
     work = len(grids[0]) * len(grids[1]) * len(grids[2])
     if ceiling is not None and work > ceiling:
         raise CeilingExceeded("brute-force triple enumeration", work, ceiling)
+    last = grids[2]
+    in_last = set(last)
     total = 0
     for px, py in grids[0]:
         for qx, qy in grids[1]:
@@ -267,12 +269,14 @@ def collinear_triples_brute(
                 continue
             dqx = qx - px
             dqy = qy - py
-            for rx, ry in grids[2]:
-                if (rx == px and ry == py) or (rx == qx and ry == qy):
-                    continue
-                det = dqx * (ry - py) - (rx - px) * dqy
-                if (det % p if p is not None else det) == 0:
-                    total += 1
+            if p is None:
+                hits = sum(1 for rx, ry in last if dqx * (ry - py) == (rx - px) * dqy)
+            else:
+                hits = sum(
+                    1 for rx, ry in last if (dqx * (ry - py) - (rx - px) * dqy) % p == 0
+                )
+            # r = p and r = q pass the determinant test but are no triple.
+            total += hits - ((px, py) in in_last) - ((qx, qy) in in_last)
     return total
 
 
@@ -293,31 +297,16 @@ def sextuple_collinearity_count(
     work = len(a) ** 6
     if ceiling is not None and work > ceiling:
         raise CeilingExceeded("sextuple enumeration", work, ceiling)
-    values, _scale, p = _values_for([a])
-    pts = [(u, v) for u in values[0] for v in values[0]]
-    total = 0
-    nondeg = 0
-    for px, py in pts:
-        for qx, qy in pts:
-            dqx = qx - px
-            dqy = qy - py
-            q_is_p = dqx == 0 and dqy == 0
-            for rx, ry in pts:
-                det = dqx * (ry - py) - (rx - px) * dqy
-                if (det % p if p is not None else det) != 0:
-                    continue
-                total += 1
-                if q_is_p:
-                    continue
-                if (rx == px and ry == py) or (rx == qx and ry == qy):
-                    continue
-                nondeg += 1
+    nondeg = collinear_triples_brute(a, a, a, ceiling=None)
     check = collinear_triples(a, a, a)
     if check != nondeg:
         raise RouteDisagreement(
             f"route disagreement: line grouping gave {check}, enumeration {nondeg}"
         )
-    return total, nondeg
+    # Every triple of the m = |A|^2 points with a repeated point is
+    # collinear, and m^3 - m(m-1)(m-2) = 3m^2 - 2m of them repeat one.
+    m = len(a) ** 2
+    return nondeg + 3 * m * m - 2 * m, nondeg
 
 
 # -- dyadic line table --------------------------------------------------------

@@ -60,6 +60,13 @@ class PopDiffCertificate:
         return sum(self.multiplicity.values())
 
 
+def guard_collision_ceiling(b: ArithSet, ceiling: int | None) -> None:
+    """Refuse a collision count over the |B|^3 ratio values above ``ceiling``."""
+    n = len(b)
+    if ceiling is not None and n**3 > ceiling:
+        raise CeilingExceeded("collision count over B^3 ratio values", n**3, ceiling)
+
+
 def build_popular_ratios(
     graph: ContainmentGraph,
     subset: ArithSet | None = None,
@@ -81,6 +88,7 @@ def build_popular_ratios(
         subset = b
     if tau is None:
         tau = lk_profile(graph).richness_threshold()
+    guard_collision_ceiling(b, ceiling)
 
     pairs = rich_pairs(graph, tau, within=subset)
     elems = b.elements
@@ -98,9 +106,6 @@ def build_popular_ratios(
             multiplicity[x] = multiplicity.get(x, 0) + 1
             triples_total += 1
 
-    n = len(elems)
-    if ceiling is not None and n**3 > ceiling:
-        raise CeilingExceeded("collision count over B^3 ratio values", n**3, ceiling)
     walk = _ratio_walk(b, b)
     collision_count = energy_from_counts(walk.counts)
 

@@ -18,10 +18,11 @@ read off its own row.
 Decomposition.  Decide whether A = B + C with |B|, |C| >= 2.  Translation
 freedom is removed by fixing min(B) = 0, which forces C to be a subset
 of A and B a subset of A - min(A).  The search branches on how the
-smallest unexplained element is written as b + c, propagating the
-constraint that every cross sum lands in A; exhausting the tree without
-a witness is a proof of irreducibility.  The search runs on the plain
-ints d·x, d the common denominator of A, and scales the witness back.
+smallest unexplained element is written as b + c, keeping a split only
+when every new cross sum lands in A; one placement helper puts an element
+on either side and counts its sums with the other.  Exhausting the tree
+without a witness is a proof of irreducibility.  The search runs on the
+plain ints d·x, d the common denominator of A, and scales the witness back.
 """
 
 from __future__ import annotations
@@ -267,9 +268,9 @@ def decompose(a: ArithSet) -> Decomposition:
 
     Branches on the smallest unexplained element of A over all pair
     splits (new b + existing c, existing b + new c, and both new, in that
-    order within equal coverage); every insertion checks all cross sums
-    against A.  Branches that explain everything with a singleton side
-    attempt a one-element extension of that side before being rejected.
+    order within equal coverage); a split is kept only when every new
+    cross sum lies in A.  A branch that explains everything with a
+    singleton side is rejected.
     """
     if not a.is_rational:
         raise OutsideDomain("decomposition search runs in rational mode only")
@@ -283,143 +284,85 @@ def decompose(a: ArithSet) -> Decomposition:
 
     b_set = {0}
     c_set = {c0}
+    # explained[s]: the number of pairs of B x C with sum s.
     explained: dict = {c0: 1}
     nodes = 0
-    witness: list = []
 
-    def add_b(beta) -> bool:
-        for c in c_set:
-            if (beta + c) not in a_index:
-                return False
-        b_set.add(beta)
-        for c in c_set:
-            s = beta + c
-            explained[s] = explained.get(s, 0) + 1
-        return True
+    def fits(v, other) -> int | None:
+        """Unexplained sums v + w over w in ``other``; None if one is not in A."""
+        fresh = 0
+        for w in other:
+            s = v + w
+            if s not in a_index:
+                return None
+            fresh += not explained.get(s, 0)
+        return fresh
 
-    def remove_b(beta) -> None:
-        b_set.discard(beta)
-        for c in c_set:
-            s = beta + c
-            explained[s] -= 1
+    def place(v, mine, other, step: int) -> None:
+        """Add (step 1) or remove (step -1) v on its side, with its sums."""
+        (mine.add if step > 0 else mine.discard)(v)
+        for w in other:
+            explained[v + w] = explained.get(v + w, 0) + step
 
-    def add_c(gamma) -> bool:
-        for b in b_set:
-            if (b + gamma) not in a_index:
-                return False
-        c_set.add(gamma)
-        for b in b_set:
-            s = b + gamma
-            explained[s] = explained.get(s, 0) + 1
-        return True
-
-    def remove_c(gamma) -> None:
-        c_set.discard(gamma)
-        for b in b_set:
-            s = b + gamma
-            explained[s] -= 1
-
-    def unexplained_min():
-        for t in elems:
-            if explained.get(t, 0) == 0:
-                return t
-        return None
-
-    def coverage(new_b, new_c) -> int:
-        seen = 0
-        cs = list(c_set) + ([new_c] if new_c is not None else [])
-        if new_b is not None:
-            for c in cs:
-                s = new_b + c
-                if s in a_index and explained.get(s, 0) == 0:
-                    seen += 1
-        if new_c is not None:
-            for b in b_set:
-                s = b + new_c
-                if s in a_index and explained.get(s, 0) == 0:
-                    seen += 1
-        return seen
-
-    def try_leaf() -> bool:
-        if len(b_set) >= 2 and len(c_set) >= 2:
-            witness.append((set(b_set), set(c_set)))
-            return True
-        if len(b_set) < 2:
-            for beta in b_universe:
-                if beta in b_set or beta == 0:
-                    continue
-                if all((beta + c) in a_index for c in c_set):
-                    witness.append((set(b_set) | {beta}, set(c_set)))
-                    return True
-            return False
-        for gamma in elems:
-            if gamma in c_set:
-                continue
-            if all((b + gamma) in a_index for b in b_set):
-                witness.append((set(b_set), set(c_set) | {gamma}))
-                return True
-        return False
-
-    def dfs() -> bool:
+    def dfs() -> tuple | None:
         nonlocal nodes
         nodes += 1
-        target = unexplained_min()
+        target = next((t for t in elems if not explained.get(t, 0)), None)
         if target is None:
-            return try_leaf()
+            # A singleton side here is {0} with C = A, or {c0} with B = A - c0,
+            # and no second element fits: no nonzero translate of A lies in A.
+            if len(b_set) < 2 or len(c_set) < 2:
+                return None
+            return set(b_set), set(c_set)
         candidates = []
         for beta in b_universe:
             gamma = target - beta
             if gamma not in a_index:
                 continue
+            # target is unexplained, so beta and gamma are not both placed.
             b_new = beta not in b_set
             c_new = gamma not in c_set
-            if not b_new and not c_new:
+            fresh_b = fits(beta, c_set) if b_new else 0
+            fresh_c = fits(gamma, b_set) if c_new else 0
+            if fresh_b is None or fresh_c is None:
                 continue
-            if b_new and any((beta + c) not in a_index for c in c_set):
-                continue
-            if c_new and any((b + gamma) not in a_index for b in b_set):
-                continue
-            kind = 0 if (b_new and not c_new) else (1 if (c_new and not b_new) else 2)
-            gain = coverage(beta if b_new else None, gamma if c_new else None)
+            kind = 2 if b_new and c_new else int(c_new)
+            # New pairs with an unexplained sum, beta + gamma = target included.
+            gain = fresh_b + fresh_c + (kind == 2)
             candidates.append((-gain, kind, beta, gamma, b_new, c_new))
         candidates.sort()
         for _gain, _kind, beta, gamma, b_new, c_new in candidates:
             if b_new:
-                if not add_b(beta):
-                    continue
+                place(beta, b_set, c_set, 1)
             if c_new:
-                if not add_c(gamma):
-                    if b_new:
-                        remove_b(beta)
-                    continue
-            if dfs():
-                return True
+                place(gamma, c_set, b_set, 1)
+            found = dfs()
+            if found:
+                return found
             if c_new:
-                remove_c(gamma)
+                place(gamma, c_set, b_set, -1)
             if b_new:
-                remove_b(beta)
-        return False
+                place(beta, b_set, c_set, -1)
+        return None
 
     found = dfs()
     if not found:
         return Decomposition(reducible=False, left=None, right=None, nodes=nodes)
-    b_out, c_out = witness[0]
-    return Decomposition(
-        reducible=True,
-        left=ArithSet._from_values([Fraction(v, d) for v in b_out], None),
-        right=ArithSet._from_values([Fraction(v, d) for v in c_out], None),
-        nodes=nodes,
+    left, right = (
+        ArithSet._from_values([Fraction(v, d) for v in side], None) for side in found
     )
+    return Decomposition(reducible=True, left=left, right=right, nodes=nodes)
 
 
 def decomposition_report(a: ArithSet) -> dict:
     """Decomposition verdict with the shift-overlap context attached.
 
     For a witness, every translate B + c1 must sit inside
-    A ∩ (A + (c1 - c2)); that containment is re-verified exactly, and each
-    overlap |A ∩ (A + (c1 - c2))| = r_{A-A}(c1 - c2) is checked against the
-    shift bound.  The multiplicative doubling is reported either way
-    (computed on the zero-free part when 0 is in A, and flagged).
+    A ∩ (A + (c1 - c2)); as |C| >= 2 that is B + C ⊆ A, re-verified
+    exactly.  The overlaps |A ∩ (A + (c1 - c2))| = r_{A-A}(c1 - c2) are
+    checked against the shift bound, which does not depend on the shift,
+    so only the largest is.  The multiplicative doubling is reported either
+    way (computed on the zero-free part when 0 is in A, and flagged).
     """
     dec = decompose(a)
     zero_free = ArithSet([x for x in a if x], p=a.p)
@@ -436,20 +379,18 @@ def decomposition_report(a: ArithSet) -> dict:
     report["left_size"] = len(b)
     report["right_size"] = len(c)
     report["cube_root_of_size"] = len(a) ** (1.0 / 3.0)
-    shifts = [(c1, c2) for c1 in c for c2 in c if c1 != c2]
-    report["containment_ok"] = all(
-        x + c1 in a and x + c2 in a for c1, c2 in shifts for x in b
-    )
+    report["containment_ok"] = all(x + y in a for x in b for y in c)
     shift_ok: bool | None = None
     if not a.contains_zero():
         # Here the doubling above is M(A) itself.
         overlaps = representation_function(a, a, "minus", ceiling=None)
-        shift_ok = all(
-            shift_bound_report(
-                a, c1 - c2, overlaps.get(c1 - c2, 0), report["doubling"]
-            ).holds
-            for c1, c2 in shifts
+        alpha = max(
+            (c1 - c2 for c1 in c for c2 in c if c1 != c2),
+            key=lambda s: overlaps.get(s, 0),
         )
+        shift_ok = shift_bound_report(
+            a, alpha, overlaps.get(alpha, 0), report["doubling"]
+        ).holds
     report["shift_bound_ok"] = shift_ok
     report["witness_left"] = b
     report["witness_right"] = c

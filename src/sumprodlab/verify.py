@@ -42,6 +42,7 @@ from .energy import (
 )
 from .graph import build_containment_graph, gowers_extract, lk_profile
 from .incidence import (
+    DEFAULT_BRUTE_CEILING,
     RouteDisagreement,
     collinear_triples,
     grid_triples_bound_check,
@@ -50,6 +51,7 @@ from .incidence import (
 from .popdiff import (
     build_popular_ratios,
     build_ratio_sets,
+    guard_collision_ceiling,
     quadruple_energy_bound,
     ratio_product_identity_holds,
     shift_ratio_identity_holds,
@@ -246,6 +248,8 @@ def _certificate(a, b, epsilon, tau, ceiling):
         b = a
     graph = build_containment_graph(b, a)
     profile = lk_profile(graph)
+    # An edgeless graph is undefined whatever its size, so this comes second.
+    guard_collision_ceiling(graph.basis, ceiling)
     extract = gowers_extract(graph, epsilon)
     if tau is None:
         tau = profile.richness_threshold()
@@ -347,12 +351,13 @@ def popular_ratio_check(
     )
 
 
-def sextuple_check(a: ArithSet, ceiling: int | None = None) -> CheckRecord:
+def sextuple_check(
+    a: ArithSet, ceiling: int | None = DEFAULT_BRUTE_CEILING
+) -> CheckRecord:
     """Sextuple-equation count against the line-grouping route, exactly."""
-    kwargs = {} if ceiling is None else {"ceiling": ceiling}
     try:
         # The count is cross-checked against collinear_triples inside.
-        total, nondeg = sextuple_collinearity_count(a, **kwargs)
+        total, nondeg = sextuple_collinearity_count(a, ceiling)
     except RouteDisagreement as exc:
         return CheckRecord(
             claim="sextuple_count",
@@ -621,17 +626,17 @@ CLAIMS = {
     "ratio_energy": lambda a, o: ratio_energy_check(a, o.get("ceiling", DEFAULT_ELEMENT_CEILING)),
     "mult_energy_plus": lambda a, o: sumset_energy_check(a, "plus", o.get("ceiling", DEFAULT_ELEMENT_CEILING)),
     "mult_energy_minus": lambda a, o: sumset_energy_check(a, "minus", o.get("ceiling", DEFAULT_ELEMENT_CEILING)),
-    "doubling_energy": lambda a, o: doubling_energy_check(a, o.get("ratio_threshold")),
-    "basis_chain": lambda a, o: basis_chain_check(a, o.get("basis"), o.get("epsilon", Fraction(1, 100)), o.get("tau")),
-    "popular_ratios": lambda a, o: popular_ratio_check(a, o.get("basis"), o.get("tau"), o.get("epsilon", Fraction(1, 100))),
-    "sextuple_count": lambda a, o: sextuple_check(a, o.get("brute_ceiling")),
+    "doubling_energy": lambda a, o: doubling_energy_check(a),
+    "basis_chain": lambda a, o: basis_chain_check(a, o.get("basis"), tau=o.get("tau")),
+    "popular_ratios": lambda a, o: popular_ratio_check(a, o.get("basis"), o.get("tau")),
+    "sextuple_count": lambda a, o: sextuple_check(a),
     "grid_triples": lambda a, o: grid_triples_check(a, o.get("second")),
     "shift_bound": lambda a, o: shift_bound_check(a),
-    "difference_count": lambda a, o: difference_count_check(a, o.get("basis"), o.get("gain", MAX_GAIN)),
+    "difference_count": lambda a, o: difference_count_check(a, o.get("basis")),
     "ratio_set_bounds": lambda a, o: ratio_set_bounds_check(a, o.get("second")),
     "identities": lambda a, o: identity_battery(o.get("seed", 7), o.get("trials", 10_000)),
     "decomposition": lambda a, o: decomposition_check(a),
-    "exponent_chain": lambda a, o: exponent_chain_check(o.get("gain", MAX_GAIN)),
+    "exponent_chain": lambda a, o: exponent_chain_check(),
 }
 
 #: Claims whose record does not depend on the instance; the report runner

@@ -107,6 +107,16 @@ def test_triples_cli_with_brute(tmp_path, capsys):
     assert payload["richness_census"] == {"2,2": 12, "3,3": 8}
 
 
+def test_triples_cli_on_singleton_grids(tmp_path, capsys):
+    # One-point grids hold no triple and no line, so no table is built.
+    x_file, z_file = str(tmp_path / "x.txt"), str(tmp_path / "z.txt")
+    write_set_file(ArithSet([3]), x_file)
+    write_set_file(ArithSet([5]), z_file)
+    code, out = run(capsys, "triples", x_file, x_file, z_file)
+    assert code == 0
+    assert json.loads(out) == {"triples": 0}
+
+
 def test_verify_cli_exit_codes(tmp_path, capsys):
     a_file = str(tmp_path / "a.txt")
     run(capsys, "gen", "gp:q=2,n=8", "--out", a_file)

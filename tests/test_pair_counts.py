@@ -1,10 +1,13 @@
 """Pair counts read from one representation function, against direct
 enumeration, in both field modes (rationals and F_13)."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sumprodlab import solvers
 from sumprodlab.energy import shift_intersection_report, sigma
 from sumprodlab.field import OutsideDomain
 from sumprodlab.graph import build_containment_graph, difference_solution_report
@@ -92,6 +95,32 @@ def test_decomposition_shift_checks_equal_per_pair_reports(b, c):
         assert report["shift_bound_ok"] == all(
             shift_intersection_report(a, c1 - c2).holds for c1, c2 in shifts
         )
+
+
+def test_decomposition_shift_check_can_fail(monkeypatch):
+    """With M forced to 1 the bound M^{4/3}|A|^{2/3} falls below the largest
+    overlap, so the report must say so, as a per-pair recount does."""
+    monkeypatch.setattr(solvers, "multiplicative_doubling", lambda s: Fraction(1))
+    a = sumset(ArithSet(range(1, 6)), ArithSet([10, 20]))
+    report = decomposition_report(a)
+    left, right = report["witness_left"], report["witness_right"]
+    assert (list(left), list(right)) == ([0, 1, 2], [11, 13, 21, 23])
+    overlaps = [
+        sum(1 for y in a if (y - (c1 - c2)) in a)
+        for c1 in right
+        for c2 in right
+        if c1 != c2
+    ]
+    assert max(overlaps) == 6  # r_{A-A}(2), and 6^3 > |A|^2 = 100
+    assert report["shift_bound_ok"] is all(n**3 <= len(a) ** 2 for n in overlaps)
+    assert report["shift_bound_ok"] is False
+
+
+def test_decomposition_containment_check_can_fail(monkeypatch):
+    # A witness with 1 + 5 outside A: the re-verification must catch it.
+    bogus = solvers.Decomposition(True, ArithSet([0, 1]), ArithSet([0, 5]), nodes=1)
+    monkeypatch.setattr(solvers, "decompose", lambda a: bogus)
+    assert decomposition_report(ArithSet([0, 1, 5])).get("containment_ok") is False
 
 
 def test_decomposition_is_outside_the_prime_field_domain():

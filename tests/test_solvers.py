@@ -214,6 +214,26 @@ def test_decompose_worked_values():
     assert (d.left, d.right) == (fset(0, 1), fset(0, 1))
 
 
+@pytest.mark.parametrize(
+    "values, nodes, left, right",
+    [
+        # A split placing both b and c can give two new pairs with one sum;
+        # the gain counts both, and the tree depends on it.
+        (
+            (8, 9, 12, 13, 14, 15, 16, 17, 18, 19, 21, 23, 24, 25, 28, 30),
+            8,
+            (0, 1, 4, 6),
+            (8, 12, 13, 15, 17, 24),
+        ),
+        # The gain counts the pair b + c = target of a split placing both.
+        ((0, 1, 2, 3, 4, 5, 8, 10), 8, (0, 1, 2, 3, 8), (0, 2)),
+    ],
+)
+def test_decompose_gain_counts_new_pairs(values, nodes, left, right):
+    d = decompose(ArithSet(values))
+    assert (d.nodes, d.left, d.right) == (nodes, ArithSet(left), ArithSet(right))
+
+
 def test_decompose_matches_oracle_sample():
     rng = random.Random(77)
     for _ in range(80):

@@ -242,6 +242,30 @@ def test_edgeless_containment_graph_is_undefined(claim):
     assert "(L, K) profile is undefined" in rec.details["error"]
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("ran past the collision-count ceiling")
+
+
+@pytest.mark.parametrize("claim", ["popular_ratios", "basis_chain"])
+def test_popular_ratio_ceiling_before_the_extract(monkeypatch, claim):
+    # |B|^3 = 130^3 is over the 2,000,000 ceiling, which is known before
+    # the extract and the rich-pair loop run.
+    monkeypatch.setattr(verify, "gowers_extract", _refuse)
+    rec = run_claim(claim, generate(parse_family("ap:a=1,d=1,n=130")))
+    assert rec.verdict == "ceiling"
+    assert (rec.lhs, rec.rhs) == (130**3, sets.DEFAULT_ELEMENT_CEILING)
+
+
+def test_build_popular_ratios_ceiling_before_the_rich_pairs(monkeypatch):
+    monkeypatch.setattr(popdiff, "rich_pairs", _refuse)
+    a = generate(parse_family("ap:a=1,d=1,n=130"))
+    graph = verify.build_containment_graph(a, a)
+    with pytest.raises(verify.CeilingExceeded) as info:
+        popdiff.build_popular_ratios(graph, tau=1)
+    refused = (info.value.requested, info.value.ceiling)
+    assert refused == (130**3, sets.DEFAULT_ELEMENT_CEILING)
+
+
 def test_identity_battery_small():
     rec = identity_battery(seed=5, trials=200)
     assert rec.verdict == "pass"
