@@ -14,16 +14,15 @@ import sys
 from fractions import Fraction
 
 from .field import CeilingExceeded, check_prime_modulus
-from .sets import ArithSet, dumps_set, read_set_file
+from .sets import DEFAULT_ELEMENT_CEILING, ArithSet, dumps_set, read_set_file
 from .families import parse_family, generate
-from .graph import build_containment_graph, gowers_extract, lk_profile
+from .graph import build_containment_graph, lk_profile
 from .incidence import (
     collinear_triples,
     collinear_triples_brute,
     dyadic_table,
     st_line_bound_check,
 )
-from .popdiff import build_popular_ratios
 from .report import (
     exit_code,
     jsonable,
@@ -33,7 +32,7 @@ from .report import (
     write_report,
 )
 from .solvers import InfeasibleWithinUniverse, decomposition_report, min_basis
-from .verify import CLAIMS, run_claim
+from .verify import CLAIMS, _certificate, run_claim
 
 
 def _write(text: str, out=None) -> None:
@@ -122,9 +121,9 @@ def _cmd_decompose(args) -> int:
 def _cmd_popdiff(args) -> int:
     a = read_set_file(args.set)
     b = read_set_file(args.basis)
-    graph = build_containment_graph(b, a)
-    extract = gowers_extract(graph, Fraction(args.eps))
-    cert = build_popular_ratios(graph, extract.subset, args.tau)
+    _graph, _profile, extract, cert = _certificate(
+        a, b, Fraction(args.eps), args.tau, DEFAULT_ELEMENT_CEILING
+    )
     _emit(
         {
             "ratios": cert.ratios,

@@ -37,8 +37,8 @@ class PopDiffCertificate:
     conservation_ok:   sum of n(x) equals the enumerated triple count.
     cauchy_schwarz_ok: (sum n(x))^2 <= |R| * Q, exactly.
     within_target_ratios: R is a subset of A/A (checked whenever 0 not in A).
-    target_ratios: the set A/A that check read, or None when R is empty and
-    the check needed none.
+    The A/A that check builds stays on A, so a later ``ratio_set(A, A)``
+    reads it instead of building it again.
     skipped_triples counts B^3 triples dropped for a vanishing denominator;
     any nonzero value is flagged because those tuples fall outside the
     collision count by construction.
@@ -53,7 +53,6 @@ class PopDiffCertificate:
     conservation_ok: bool
     cauchy_schwarz_ok: bool
     within_target_ratios: bool
-    target_ratios: ArithSet | None
 
     @property
     def multiplicity_sum(self) -> int:
@@ -112,11 +111,8 @@ def build_popular_ratios(
     ratios = ArithSet(multiplicity.keys(), p=b.p)
     total = sum(multiplicity.values())
     cs_ok = total * total <= len(ratios) * collision_count
-    within = True
-    target = None
-    if len(ratios):
-        target = ratio_set(a, a, ceiling)
-        within = all(x in target for x in ratios)
+    # A/A is built only for a nonempty R, and A keeps it.
+    within = not len(ratios) or ratios._index <= ratio_set(a, a, ceiling)._index
     return PopDiffCertificate(
         ratios=ratios,
         multiplicity=multiplicity,
@@ -127,7 +123,6 @@ def build_popular_ratios(
         conservation_ok=(total == triples_total),
         cauchy_schwarz_ok=cs_ok,
         within_target_ratios=within,
-        target_ratios=target,
     )
 
 

@@ -59,10 +59,12 @@ class ArithSet:
     are the ``Fraction`` elements themselves.  In prime-field mode they are
     plain ints in ``[0, p)``, and the ``Residue`` tuple :attr:`elements` is
     built only when a caller asks for it.  The kernels of the package read
-    ``_values`` and ``_index``; only this module builds them.
+    ``_values`` and ``_index``; only this module builds them.  ``_derived``
+    keeps A*A and A/A once built, the small derived sets of the paper's
+    instances; it takes no part in ``==`` or ``hash``.
     """
 
-    __slots__ = ("_values", "p", "_index", "_elements")
+    __slots__ = ("_values", "p", "_index", "_elements", "_derived")
 
     def __init__(self, elements: Iterable = (), p: int | None = None):
         items = list(elements)
@@ -96,6 +98,7 @@ class ArithSet:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_elements", ordered if p is None else None)
+        object.__setattr__(self, "_derived", None)
 
     def __setattr__(self, *args):
         raise AttributeError("ArithSet is immutable")
@@ -188,6 +191,8 @@ _ROWS_MOD = {
 #: Operations with u op v = v op u: over s x s the kernel needs only the
 #: pairs with v at or after u.
 _COMMUTATIVE = ("plus", "times")
+#: Self-operations kept in ``ArithSet._derived``; A+A and A-A are not kept.
+_MEMOIZED = ("times", "divide")
 
 
 def _pair_rows(s: ArithSet, t: ArithSet, op: str, upper: bool = False) -> Iterator[list]:
@@ -291,9 +296,20 @@ def _guard(what: str, requested: int, ceiling: int | None) -> None:
 
 
 def _pairwise(s, t, op, ceiling=None, what="pairwise set operation"):
+    # The guard runs first, so a memo hit refuses exactly as a build does.
     _guard(what, len(s) * len(t), ceiling)
-    upper = op in _COMMUTATIVE and s == t
-    values = set(chain.from_iterable(_pair_rows(s, t, op, upper)))
+    same = s == t
+    if not same or op not in _MEMOIZED:
+        return _materialize(s, t, op, same)
+    if s._derived is None:
+        object.__setattr__(s, "_derived", {})
+    if op not in s._derived:
+        s._derived[op] = _materialize(s, s, op, True)
+    return s._derived[op]
+
+
+def _materialize(s, t, op, same):
+    values = set(chain.from_iterable(_pair_rows(s, t, op, same and op in _COMMUTATIVE)))
     return ArithSet._from_values(values, s.p)
 
 

@@ -32,7 +32,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .energy import representation_function, shift_bound_report
+from .energy import representation_function, shift_intersection_report
 from .field import OutsideDomain
 from .sets import (
     ArithSet,
@@ -365,7 +365,8 @@ def decomposition_report(a: ArithSet) -> dict:
     way (computed on the zero-free part when 0 is in A, and flagged).
     """
     dec = decompose(a)
-    zero_free = ArithSet([x for x in a if x], p=a.p)
+    # With 0 not in A the doubling is M(A), and A keeps the A*A it builds.
+    zero_free = ArithSet([x for x in a if x], p=a.p) if a.contains_zero() else a
     report: dict = {
         "size": len(a),
         "reducible": dec.reducible,
@@ -382,15 +383,12 @@ def decomposition_report(a: ArithSet) -> dict:
     report["containment_ok"] = all(x + y in a for x in b for y in c)
     shift_ok: bool | None = None
     if not a.contains_zero():
-        # Here the doubling above is M(A) itself.
         overlaps = representation_function(a, a, "minus", ceiling=None)
         alpha = max(
             (c1 - c2 for c1 in c for c2 in c if c1 != c2),
             key=lambda s: overlaps.get(s, 0),
         )
-        shift_ok = shift_bound_report(
-            a, alpha, overlaps.get(alpha, 0), report["doubling"]
-        ).holds
+        shift_ok = shift_intersection_report(a, alpha).holds
     report["shift_bound_ok"] = shift_ok
     report["witness_left"] = b
     report["witness_right"] = c

@@ -38,7 +38,7 @@ from .energy import (
     multiplicative_energy,
     ratio_quotient_energy,
     representation_function,
-    shift_bound_report,
+    shift_intersection_report,
 )
 from .graph import build_containment_graph, gowers_extract, lk_profile
 from .incidence import (
@@ -274,9 +274,8 @@ def basis_chain_check(
     """
     graph, profile, extract, cert = _certificate(a, b, epsilon, tau, ceiling)
     b = graph.basis
-    x = cert.target_ratios
-    if x is None:
-        x = ratio_set(a, a, ceiling)
+    # The certificate's A/A, kept on A, is the X of the quadruple floor.
+    x = ratio_set(a, a, ceiling)
     bound = quadruple_energy_bound(a, x, cert.ratios, ceiling=ceiling)
     n_floor = bound.solutions_floor
 
@@ -412,24 +411,15 @@ def shift_bound_check(a: ArithSet) -> CheckRecord:
     the first of largest overlap in canonical order.
     """
     overlaps = representation_function(a, a, "minus", ceiling=None)
-    worst_alpha = None
-    checked = 0
-    for alpha in difference_set(a, a):
-        if not alpha:
-            continue
-        checked += 1
-        if worst_alpha is None or overlaps[alpha] > overlaps[worst_alpha]:
-            worst_alpha = alpha
-    if worst_alpha is None:
+    shifts = [alpha for alpha in sorted(overlaps) if alpha]
+    if not shifts:
         raise OutsideDomain("no nonzero shift exists (singleton set)")
-    worst = shift_bound_report(
-        a, worst_alpha, overlaps[worst_alpha], multiplicative_doubling(a)
-    )
+    worst = shift_intersection_report(a, max(shifts, key=overlaps.__getitem__))
     return CheckRecord(
         claim="shift_bound",
         provenance="energy.shift_intersection_report",
         size_a=len(a),
-        size_b=checked,
+        size_b=len(shifts),
         lhs=worst.overlap,
         rhs=worst.bound_ceiling,
         ratio=worst.overlap / worst.bound_float,

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from sumprodlab import cli, graph, verify
 from sumprodlab.cli import main
 from sumprodlab.sets import ArithSet, read_set_file, write_set_file
 
@@ -94,6 +95,33 @@ def test_popdiff_cli(tmp_path, capsys):
     payload = json.loads(out)
     assert sorted(payload["multiplicity"]) == ["1/2", "2", "2/3", "3/2"]
     assert payload["cauchy_schwarz_ok"] and payload["conservation_ok"]
+
+
+def test_popdiff_cli_refuses_before_the_extract(tmp_path, capsys, monkeypatch):
+    # |B|^3 = 200^3 is over the collision-count ceiling, known before the
+    # Gowers extract would run.
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran the extract past the collision-count ceiling")
+
+    for module in (cli, graph, verify):
+        monkeypatch.setattr(module, "gowers_extract", refuse, raising=False)
+    a_file = str(tmp_path / "a.txt")
+    run(capsys, "gen", "ap:a=1,d=1,n=200", "--out", a_file)
+    assert main(["popdiff", a_file, "--basis", a_file]) == 2
+    err = capsys.readouterr().err
+    assert "collision count over B^3 ratio values" in err
+    assert "would need 8000000 items, ceiling is 2000000" in err
+
+
+def test_popdiff_cli_outside_the_domain(tmp_path, capsys):
+    a_file, b_file = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
+    write_set_file(ArithSet([0, 1, 2]), a_file)
+    write_set_file(ArithSet([0, 1]), b_file)
+    assert main(["popdiff", a_file, "--basis", b_file]) == 2
+    assert "popular ratios need 0 not in the target set" in capsys.readouterr().err
+    write_set_file(ArithSet([100, 200]), a_file)
+    assert main(["popdiff", a_file, "--basis", b_file]) == 2
+    assert "(L, K) profile is undefined" in capsys.readouterr().err
 
 
 def test_triples_cli_with_brute(tmp_path, capsys):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from sumprodlab.field import CeilingExceeded
 from sumprodlab.sets import ArithSet, dilate, translate
 from sumprodlab.energy import (
+    _cube_root_ceil,
     additive_energy,
     energy_quadruples,
     is_sidon,
@@ -126,3 +127,33 @@ def test_shift_report_on_progression():
     a = ArithSet(range(10))
     for alpha in (1, 2, 5):
         assert shift_intersection_report(a, alpha).holds
+
+
+@given(
+    st.sets(st.integers(-20, 20), min_size=1, max_size=8),
+    st.integers(-25, 25).filter(bool),
+    st.sampled_from([None, 13]),
+)
+@settings(max_examples=60)
+def test_shift_intersection_counts_the_translate(xs, alpha, p):
+    # The overlap is counted on the index; the oracle builds A + alpha.
+    a = ArithSet(xs, p=p)
+    if p is not None and alpha % p == 0:
+        return
+    shifted = translate(a, alpha)
+    assert shift_intersection(a, alpha) == sum(1 for y in shifted if y in a)
+
+
+@given(
+    st.one_of(
+        st.fractions(min_value=-50, max_value=1000, max_denominator=50),
+        st.builds(Fraction, st.integers(-(10**90), 10**90), st.integers(1, 10**9)),
+    )
+)
+@settings(max_examples=200)
+def test_cube_root_ceil_is_the_least_cube_root(q):
+    k = _cube_root_ceil(q)
+    if q <= 0:
+        assert k == 0
+    else:
+        assert k**3 >= q > (k - 1) ** 3

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumprodlab import solvers
+from sumprodlab import energy, solvers
 from sumprodlab.energy import shift_intersection_report, sigma
 from sumprodlab.field import OutsideDomain
 from sumprodlab.graph import build_containment_graph, difference_solution_report
@@ -100,7 +100,7 @@ def test_decomposition_shift_checks_equal_per_pair_reports(b, c):
 def test_decomposition_shift_check_can_fail(monkeypatch):
     """With M forced to 1 the bound M^{4/3}|A|^{2/3} falls below the largest
     overlap, so the report must say so, as a per-pair recount does."""
-    monkeypatch.setattr(solvers, "multiplicative_doubling", lambda s: Fraction(1))
+    monkeypatch.setattr(energy, "multiplicative_doubling", lambda s: Fraction(1))
     a = sumset(ArithSet(range(1, 6)), ArithSet([10, 20]))
     report = decomposition_report(a)
     left, right = report["witness_left"], report["witness_right"]

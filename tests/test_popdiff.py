@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sumprodlab import popdiff
 from sumprodlab.sets import ArithSet, ratio_set, sumset
 from sumprodlab.graph import build_containment_graph
 from sumprodlab.popdiff import (
@@ -36,6 +37,13 @@ def test_popular_ratios_micro():
     assert cert.multiplicity_sum == cert.triples_total == 8
     assert cert.conservation_ok and cert.cauchy_schwarz_ok
     assert cert.within_target_ratios  # R sits inside A/A
+
+
+def test_within_target_ratios_reads_the_ratio_set(monkeypatch):
+    # R lies in A/A by construction, so an A/A stubbed without 2 is what
+    # the check must catch.
+    monkeypatch.setattr(popdiff, "ratio_set", lambda s, t, ceiling=None: fset(Fraction(1, 2)))
+    assert not build_popular_ratios(micro_graph(), fset(0, 1, 2), 2).within_target_ratios
 
 
 def test_popular_ratios_empty_cases():

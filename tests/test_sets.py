@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumprodlab.field import ModeMismatchError, Residue, is_prime
+from sumprodlab.field import CeilingExceeded, ModeMismatchError, Residue, is_prime
 from sumprodlab.sets import (
     ArithSet,
     aa_over_a,
@@ -225,3 +225,42 @@ def test_canonical_order_in_dump():
     a = ArithSet([5, -2, Fraction(1, 3)])
     body = dumps_set(a).splitlines()[1:]
     assert body == ["-2", "1/3", "5"]
+
+
+def _refusal(build, a, ceiling):
+    with pytest.raises(CeilingExceeded) as info:
+        build(a, a, ceiling)
+    return info.value.what, info.value.requested, info.value.ceiling
+
+
+@pytest.mark.parametrize("p", [None, 13])
+@pytest.mark.parametrize("build", [product_set, ratio_set])
+def test_memo_hit_refuses_like_a_fresh_set(build, p):
+    a = ArithSet([1, 2, 3, 5, 7], p=p)
+    kept = build(a, a)
+    assert build(a, a) is kept
+    fresh = ArithSet(a.elements, p=p)
+    assert _refusal(build, a, 24) == _refusal(build, fresh, 24) == (
+        "product set" if build is product_set else "ratio set", 25, 24
+    )
+
+
+def test_filled_memo_takes_no_part_in_equality():
+    a = ArithSet([1, 2, 4, 8])
+    fresh = ArithSet([1, 2, 4, 8])
+    product_set(a, a)
+    ratio_set(a, a)
+    assert a._derived and fresh._derived is None
+    assert a == fresh and hash(a) == hash(fresh)
+    assert len({a, fresh}) == 1
+
+
+def test_only_products_and_ratios_are_kept():
+    a = ArithSet([1, 2, 3, 5])
+    sumset(a, a)
+    difference_set(a, a)
+    assert a._derived is None
+    product_set(a, a)
+    ratio_set(a, a)
+    product_set(a, ArithSet([2, 3]))
+    assert sorted(a._derived) == ["divide", "times"]

@@ -179,13 +179,22 @@ def test_shift_bound_check_builds_the_product_set_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_stats_builds_the_product_set_twice(monkeypatch):
-    # Once for |A*A| and once inside (A*A)/A; the doubling reads |A*A|.
-    in_sets = _counting(monkeypatch, sets, "product_set")
-    in_verify = _counting(monkeypatch, verify, "product_set")
-    rec = stats_record(gp(8))
-    assert len(in_sets) + len(in_verify) == 2
+def _builds(monkeypatch, op, a):
+    """Record each pair-kernel pass that materializes ``a op a``."""
+    builds = _counting(monkeypatch, sets, "_materialize")
+    return lambda: sum(1 for s, t, o, _same in builds if o == op and s == t == a)
+
+
+def test_stats_doubling_energy_and_shift_bound_build_the_product_set_once(monkeypatch):
+    # |A*A| in stats, (A*A)/A, and the doubling M of the two other claims
+    # all read the A*A that the set keeps.
+    a = gp(8)
+    products = _builds(monkeypatch, "times", a)
+    rec = stats_record(a)
     assert rec.details["doubling"] == Fraction(15, 8)
+    assert doubling_energy_check(a).details["doubling"] == Fraction(15, 8)
+    assert shift_bound_check(a).details["doubling"] == Fraction(15, 8)
+    assert products() == 1
 
 
 def test_difference_count_check():
@@ -371,10 +380,10 @@ def test_jsonable_fractions_and_sets():
 
 
 def test_basis_chain_builds_the_ratio_set_once(monkeypatch):
-    # The certificate's A/A is the X of the quadruple floor.
-    in_verify = _counting(monkeypatch, verify, "ratio_set")
-    in_popdiff = _counting(monkeypatch, popdiff, "ratio_set")
+    # The certificate builds A/A once; a second certificate on the same set
+    # and the X of the quadruple floor read it from A.
     a = generate(parse_family("sumset_of_random:n=4,lo=1,hi=40,seed=5"))
-    rec = run_claim("basis_chain", a)
-    assert rec.verdict == "pass"
-    assert len(in_verify) + len(in_popdiff) == 1
+    ratios = _builds(monkeypatch, "divide", a)
+    assert run_claim("popular_ratios", a).verdict == "pass"
+    assert run_claim("basis_chain", a).verdict == "pass"
+    assert ratios() == 1
