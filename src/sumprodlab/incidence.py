@@ -9,15 +9,17 @@ enumerates all point triples and tests the 3x3 determinant.  Both are
 exact and are kept as independent routes for cross-checking.
 
 Rational coordinates are scaled by a common denominator so that the hot
-loops run on plain integers; line keys are unscaled back to the original
-coordinates.  Prime-field grids run on the ints modulo p that the sets
+loops run on plain integers; collinearity and richness do not change under
+that scaling.  Prime-field grids run on the ints modulo p that the sets
 store, with each coordinate difference inverted once per call.
 
-The dyadic table hashes every pair of distinct points of two grids to a
-canonical line key and classifies every line meeting at least two points
-of either grid by its exact per-grid richness; expanding the table with
-those exact counts reproduces T, and the lines can also be grouped into
-power-of-two richness buckets.
+The dyadic table counts lines with the same direction histograms: from
+each point of the union of two grids it reads, per direction, how many
+points of each grid and of their overlap lie on that line, and each line
+is seen once from each of its union points.  The table keeps how many
+lines meeting at least two points of either grid have each exact per-grid
+richness; expanding it reproduces T, and the lines can also be grouped
+into power-of-two richness buckets.
 
 Every pair-ceiling guard sizes the union of the grids from the value
 sets alone, before any point is built.
@@ -32,10 +34,10 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from .field import CeilingExceeded, FieldElement, Residue
+from .field import CeilingExceeded
 from .sets import ArithSet, _scaled_values, require_same_mode
 
-#: Ceiling on the number of point pairs hashed into line keys.
+#: Ceiling on the number of pairs of union grid points a line count covers.
 DEFAULT_PAIR_CEILING = 100_000_000
 #: Ceiling on brute-force triple / sextuple enumeration sizes.
 DEFAULT_BRUTE_CEILING = 5_000_000
@@ -45,38 +47,12 @@ class RouteDisagreement(RuntimeError):
     """Raised when two exact counting routes give different answers."""
 
 
-@dataclass(frozen=True, order=True)
-class LineKey:
-    """Canonical coefficients (a, b, c) of the line a*x + b*y = c.
-
-    Normalized so the first nonzero of (a, b) equals 1; two keys are
-    equal exactly when the lines coincide.  Vertical lines come out as
-    (1, 0, c), horizontal ones as (0, 1, c).
-    """
-
-    a: FieldElement
-    b: FieldElement
-    c: FieldElement
-
-    @staticmethod
-    def through(p: tuple, q: tuple) -> "LineKey":
-        (x1, y1), (x2, y2) = p, q
-        if x1 == x2 and y1 == y2:
-            raise ValueError("two distinct points are required")
-        a = y2 - y1
-        b = x1 - x2
-        c = a * x1 + b * y1
-        scale = a if a else b
-        return LineKey(a / scale, b / scale, c / scale)
-
-
-def _values_for(sets: list[ArithSet]) -> tuple[list[list[int]], int, int | None]:
+def _values_for(sets: list[ArithSet]) -> tuple[list[list[int]], int | None]:
     require_same_mode(*sets)
     p = sets[0].p
     if p is None:
-        vals, scale = _scaled_values(sets)
-        return vals, scale, None
-    return [list(s._values) for s in sets], 1, p
+        return _scaled_values(sets)[0], None
+    return [list(s._values) for s in sets], p
 
 
 def _union_size(value_lists: list[list[int]]) -> int:
@@ -111,63 +87,6 @@ def _union_points(value_lists: list[list[int]]) -> tuple[list[tuple[int, int]], 
                 masks[key] = masks.get(key, 0) | flag
     points = sorted(masks)
     return points, [masks[pt] for pt in points]
-
-
-def _group_lines_int(points: list[tuple[int, int]]) -> dict[tuple, set[int]]:
-    lines: dict[tuple, set[int]] = {}
-    m = len(points)
-    for i in range(m):
-        x1, y1 = points[i]
-        for j in range(i + 1, m):
-            x2, y2 = points[j]
-            a = y2 - y1
-            b = x1 - x2
-            c = a * x1 + b * y1
-            g = math.gcd(math.gcd(a, b), c)
-            a //= g
-            b //= g
-            c //= g
-            if a < 0 or (a == 0 and b < 0):
-                a, b, c = -a, -b, -c
-            key = (a, b, c)
-            got = lines.get(key)
-            if got is None:
-                lines[key] = {i, j}
-            else:
-                got.add(i)
-                got.add(j)
-    return lines
-
-
-def _group_lines_mod(
-    points: list[tuple[int, int]], p: int, inverse: dict[int, int]
-) -> dict[tuple, set[int]]:
-    lines: dict[tuple, set[int]] = {}
-    m = len(points)
-    for i in range(m):
-        x1, y1 = points[i]
-        for j in range(i + 1, m):
-            x2, y2 = points[j]
-            a = (y2 - y1) % p
-            b = (x1 - x2) % p
-            if a:
-                inv = inverse[a]
-                key = (1, b * inv % p, (a * x1 + b * y1) * inv % p)
-            else:
-                key = (0, 1, y1)
-            got = lines.get(key)
-            if got is None:
-                lines[key] = {i, j}
-            else:
-                got.add(i)
-                got.add(j)
-    return lines
-
-
-def _group_lines(points, value_lists, p):
-    if p is None:
-        return _group_lines_int(points)
-    return _group_lines_mod(points, p, _inverses(value_lists, p))
 
 
 def _guard_pairs(m: int, ceiling: int | None) -> None:
@@ -224,7 +143,7 @@ def collinear_triples(
     """
     if not (len(x) and len(y) and len(z)):
         raise ValueError("all three sets must be nonempty")
-    values, _scale, p = _values_for([x, y, z])
+    values, p = _values_for([x, y, z])
     _guard_pairs(_union_size(values), pair_ceiling)
     inverse = None if p is None else _inverses(values, p)
     v0, v1, v2 = values
@@ -255,11 +174,12 @@ def collinear_triples_brute(
     """Oracle route: enumerate every point triple and test the determinant."""
     if not (len(x) and len(y) and len(z)):
         raise ValueError("all three sets must be nonempty")
-    values, _scale, p = _values_for([x, y, z])
-    grids = [[(u, v) for u in vals for v in vals] for vals in values]
-    work = len(grids[0]) * len(grids[1]) * len(grids[2])
+    require_same_mode(x, y, z)
+    work = (len(x) * len(y) * len(z)) ** 2
     if ceiling is not None and work > ceiling:
         raise CeilingExceeded("brute-force triple enumeration", work, ceiling)
+    values, p = _values_for([x, y, z])
+    grids = [[(u, v) for u in vals for v in vals] for vals in values]
     last = grids[2]
     in_last = set(last)
     total = 0
@@ -289,8 +209,8 @@ def sextuple_collinearity_count(
     of the collinearity determinant of the grid points (a, a'), (b, b'),
     (c, c'), so the total includes every coincident triple and the
     nondegenerate count keeps pairwise-distinct points only.  The
-    nondegenerate count is cross-checked against the line-grouping route
-    and a mismatch raises, since the two must agree exactly.
+    nondegenerate count is cross-checked against the direction-histogram
+    route and a mismatch raises, since the two must agree exactly.
     """
     if len(a) == 0:
         raise ValueError("set must be nonempty")
@@ -313,71 +233,46 @@ def sextuple_collinearity_count(
 
 
 @dataclass(frozen=True)
-class LineRecord:
-    """One line with its exact richness in each grid and in their overlap."""
-
-    key: LineKey
-    in_first: int
-    in_second: int
-    in_both: int
-
-
-@dataclass(frozen=True)
 class IncidenceTable:
-    """Per-line census for the grid pair (C x C, B x B).
+    """Line census for the grid pair (C x C, B x B).
 
-    Lines meeting at least two points of either grid are recorded with
-    exact richness; expanding with those counts reproduces T(C, C, B)
+    ``census`` maps the exact richness (in_first, in_second, in_both) of a
+    line in C x C, in B x B and in their overlap to the number of lines
+    with that richness, over the lines meeting at least two points of
+    either grid.  Expanding with those counts reproduces T(C, C, B)
     exactly, while :meth:`dyadic_counts` groups lines into the classical
     power-of-two buckets (index -1 collects zero richness).
     """
 
     first: ArithSet
     second: ArithSet
-    lines: tuple[LineRecord, ...]
+    census: dict[tuple[int, int, int], int]
 
     def richness_census(self) -> dict[tuple[int, int], int]:
         census: dict[tuple[int, int], int] = {}
-        for rec in self.lines:
-            key = (rec.in_first, rec.in_second)
-            census[key] = census.get(key, 0) + 1
+        for (f, s, _both), n in self.census.items():
+            census[(f, s)] = census.get((f, s), 0) + n
         return census
 
     def dyadic_counts(self) -> dict[tuple[int, int], int]:
         buckets: dict[tuple[int, int], int] = {}
-        for rec in self.lines:
-            i = rec.in_first.bit_length() - 1 if rec.in_first else -1
-            j = rec.in_second.bit_length() - 1 if rec.in_second else -1
-            buckets[(i, j)] = buckets.get((i, j), 0) + 1
+        for (f, s, _both), n in self.census.items():
+            key = (f.bit_length() - 1, s.bit_length() - 1)
+            buckets[key] = buckets.get(key, 0) + n
         return buckets
 
     def triple_count(self) -> int:
         """Exact T(C, C, B) expanded from per-line richness."""
-        return sum(
-            (rec.in_first - 1) * (rec.in_first * rec.in_second - 2 * rec.in_both)
-            for rec in self.lines
-        )
+        return sum(n * (f - 1) * (f * s - 2 * both) for (f, s, both), n in self.census.items())
 
     def pair_identity_ok(self) -> bool:
         """Every ordered pair of distinct grid points lies on exactly one
-        recorded line: sum of r(r-1) must equal m(m-1) per grid."""
+        counted line: sum of r(r-1) must equal m(m-1) per grid."""
         m1 = len(self.first) ** 2
         m2 = len(self.second) ** 2
-        s1 = sum(rec.in_first * (rec.in_first - 1) for rec in self.lines)
-        s2 = sum(rec.in_second * (rec.in_second - 1) for rec in self.lines)
+        s1 = sum(n * f * (f - 1) for (f, _s, _both), n in self.census.items())
+        s2 = sum(n * s * (s - 1) for (_f, s, _both), n in self.census.items())
         return s1 == m1 * (m1 - 1) and s2 == m2 * (m2 - 1)
-
-
-def _public_key(key: tuple, scale: int, p: int | None) -> LineKey:
-    a, b, c = key
-    if p is not None:
-        return LineKey(Residue(a, p), Residue(b, p), Residue(c, p))
-    # Internal keys describe the scaled plane x' = scale * x.
-    fa = Fraction(a * scale)
-    fb = Fraction(b * scale)
-    fc = Fraction(c)
-    divisor = fa if fa else fb
-    return LineKey(fa / divisor, fb / divisor, fc / divisor)
 
 
 def dyadic_table(
@@ -385,36 +280,43 @@ def dyadic_table(
     b: ArithSet,
     pair_ceiling: int | None = DEFAULT_PAIR_CEILING,
 ) -> IncidenceTable:
-    """Census of every line meeting >= 2 points of C x C or of B x B."""
+    """Census of every line meeting >= 2 points of C x C or of B x B.
+
+    From a union point P, the direction histograms of C x C, B x B and
+    their overlap give the richness of every line through P and another
+    union point: the points in that direction, plus P where it lies in
+    the grid.  A line through u union points is seen once from each of
+    them, so a richness class holds its views divided by u.
+    """
     if len(c) < 2 and len(b) < 2:
         raise ValueError("at least one of the sets needs two elements")
-    values, scale, p = _values_for([c, b])
+    values, p = _values_for([c, b])
     _guard_pairs(_union_size(values), pair_ceiling)
+    inverse = None if p is None else _inverses(values, p)
+    first, second = values
+    same = first == second
+    common = list(set(first) & set(second))
     points, masks = _union_points(values)
-    lines = _group_lines(points, values, p)
-    records = []
-    for key, members in lines.items():
-        in_first = in_second = in_both = 0
-        for idx in members:
-            mask = masks[idx]
-            if mask & 1:
-                in_first += 1
-            if mask & 2:
-                in_second += 1
-            if mask & 3 == 3:
-                in_both += 1
-        if in_first < 2 and in_second < 2:
-            continue
-        records.append((key, in_first, in_second, in_both))
-    records.sort()
-    return IncidenceTable(
-        first=c,
-        second=b,
-        lines=tuple(
-            LineRecord(_public_key(key, scale, p), f, s, both)
-            for key, f, s, both in records
-        ),
-    )
+    views: Counter = Counter()
+    for (x1, y1), mask in zip(points, masks):
+        f0, s0, both0 = mask & 1, mask >> 1, int(mask == 3)
+        hf = _directions(x1, y1, first, p, inverse, False)
+        if same:
+            hs = hboth = hf
+        else:
+            hs = _directions(x1, y1, second, p, inverse, False)
+            hboth = _directions(x1, y1, common, p, inverse, False)
+        for d, n in hf.items():
+            views[(n + f0, hs[d] + s0, hboth[d] + both0)] += 1
+        for d, n in hs.items():
+            if d not in hf:  # no point of C x C, so none of the overlap
+                views[(f0, n + s0, both0)] += 1
+    census = {
+        (f, s, both): n // (f + s - both)
+        for (f, s, both), n in sorted(views.items())
+        if f >= 2 or s >= 2
+    }
+    return IncidenceTable(first=c, second=b, census=census)
 
 
 @dataclass(frozen=True)

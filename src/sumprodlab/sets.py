@@ -60,11 +60,12 @@ class ArithSet:
     plain ints in ``[0, p)``, and the ``Residue`` tuple :attr:`elements` is
     built only when a caller asks for it.  The kernels of the package read
     ``_values`` and ``_index``; only this module builds them.  ``_derived``
-    keeps A*A and A/A once built, the small derived sets of the paper's
-    instances; it takes no part in ``==`` or ``hash``.
+    keeps what is built on demand: A*A and A/A, the small derived sets of
+    the paper's instances, and the ``Residue`` tuple.  It takes no part in
+    ``==`` or ``hash``.
     """
 
-    __slots__ = ("_values", "p", "_index", "_elements", "_derived")
+    __slots__ = ("_values", "p", "_index", "_derived")
 
     def __init__(self, elements: Iterable = (), p: int | None = None):
         items = list(elements)
@@ -97,7 +98,6 @@ class ArithSet:
         object.__setattr__(self, "_values", ordered)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_elements", ordered if p is None else None)
         object.__setattr__(self, "_derived", None)
 
     def __setattr__(self, *args):
@@ -106,11 +106,18 @@ class ArithSet:
     @property
     def elements(self) -> tuple[FieldElement, ...]:
         """The elements in canonical order, as ``Fraction`` or ``Residue``."""
-        got = self._elements
+        if self.p is None:
+            return self._values
+        derived = self._memo()
+        got = derived.get("elements")
         if got is None:
-            got = tuple(Residue(v, self.p) for v in self._values)
-            object.__setattr__(self, "_elements", got)
+            got = derived["elements"] = tuple(Residue(v, self.p) for v in self._values)
         return got
+
+    def _memo(self) -> dict:
+        if self._derived is None:
+            object.__setattr__(self, "_derived", {})
+        return self._derived
 
     # -- container protocol -------------------------------------------------
 
@@ -301,11 +308,10 @@ def _pairwise(s, t, op, ceiling=None, what="pairwise set operation"):
     same = s == t
     if not same or op not in _MEMOIZED:
         return _materialize(s, t, op, same)
-    if s._derived is None:
-        object.__setattr__(s, "_derived", {})
-    if op not in s._derived:
-        s._derived[op] = _materialize(s, s, op, True)
-    return s._derived[op]
+    derived = s._memo()
+    if op not in derived:
+        derived[op] = _materialize(s, s, op, True)
+    return derived[op]
 
 
 def _materialize(s, t, op, same):
@@ -432,6 +438,8 @@ def loads_set(text: str) -> ArithSet:
             if line.startswith(_HEADER_PREFIX):
                 if mode_seen:
                     raise ValueError(f"line {lineno}: duplicate field header")
+                if elements:
+                    raise ValueError(f"line {lineno}: field header after elements")
                 parts = line[len(_HEADER_PREFIX):].split()
                 if parts == ["rational"]:
                     p = None

@@ -353,7 +353,7 @@ def popular_ratio_check(
 def sextuple_check(
     a: ArithSet, ceiling: int | None = DEFAULT_BRUTE_CEILING
 ) -> CheckRecord:
-    """Sextuple-equation count against the line-grouping route, exactly."""
+    """Sextuple-equation count against the direction-histogram route, exactly."""
     try:
         # The count is cross-checked against collinear_triples inside.
         total, nondeg = sextuple_collinearity_count(a, ceiling)

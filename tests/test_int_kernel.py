@@ -138,6 +138,43 @@ def test_dyadic_table_triple_count_over_prime_fields(pair):
     assert table.pair_identity_ok()
 
 
+def _census_by_determinant(c, b):
+    """The line census of (C x C, B x B) from every pair of distinct union
+    points and the determinant test, on the elements themselves."""
+    first = {(u, v) for u in c.elements for v in c.elements}
+    second = {(u, v) for u in b.elements for v in b.elements}
+    union = sorted(first | second)
+    lines = set()
+    for i, (px, py) in enumerate(union):
+        for qx, qy in union[i + 1 :]:
+            lines.add(
+                frozenset(
+                    (rx, ry)
+                    for rx, ry in union
+                    if not (qx - px) * (ry - py) - (rx - px) * (qy - py)
+                )
+            )
+    census = Counter()
+    for line in lines:
+        f, s, both = len(line & first), len(line & second), len(line & first & second)
+        if f >= 2 or s >= 2:
+            census[(f, s, both)] += 1
+    return dict(census)
+
+
+@given(_sets(2, max_size=4), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_dyadic_census_matches_pairs_of_points(pair, same):
+    c, b = pair
+    if same:
+        b = c
+    if len(c) < 2 and len(b) < 2:
+        return
+    table = dyadic_table(c, b)
+    assert table.census == _census_by_determinant(c, b)
+    assert table.triple_count() == collinear_triples_brute(c, c, b)
+
+
 @given(_sets(1), st.integers(-50, 50))
 @settings(max_examples=100, deadline=None)
 def test_translate_dilate_negate_normalize_match_elementwise(one, k):
@@ -214,18 +251,18 @@ def test_rational_membership_index_and_zero(values, probe):
 
 def test_residue_elements_are_built_on_demand():
     s = sumset(ArithSet(range(1, 6), p=31), ArithSet(range(1, 6), p=31))
-    assert s._elements is None
+    assert s._derived is None
     assert repr(s) == "ArithSet({2, 3, 4, 5, 6, 7, 8, 9, ... (9 elements)}, fp 31)"
-    assert s._elements is None
+    assert s._derived is None
     assert s.elements[0] == Residue(2, 31)
-    assert s._elements is s.elements
+    assert s._derived["elements"] is s.elements
 
 
 # -- ceilings before the work -----------------------------------------------------
 
 
 def _refuse(*args, **kwargs):
-    raise AssertionError("points were built before the pair ceiling was checked")
+    raise AssertionError("points were built before the ceiling was checked")
 
 
 @pytest.mark.parametrize("p", [None, 10009])
@@ -243,6 +280,15 @@ def test_pair_ceiling_checked_before_any_point_is_built(monkeypatch, p):
     with pytest.raises(CeilingExceeded) as err:
         dyadic_table(x, y, pair_ceiling=100)
     assert (err.value.requested, err.value.ceiling) == (112 * 111 // 2, 100)
+
+
+@pytest.mark.parametrize("p", [None, 10009])
+def test_brute_ceiling_checked_before_any_grid_is_built(monkeypatch, p):
+    monkeypatch.setattr(incidence, "_values_for", _refuse)
+    x = ArithSet(range(1200), p=p)
+    with pytest.raises(CeilingExceeded) as err:
+        collinear_triples_brute(x, x, x)
+    assert (err.value.requested, err.value.ceiling) == (1200**6, 5_000_000)
 
 
 def test_grid_triples_ceiling_row_unchanged_without_points(monkeypatch):

@@ -221,6 +221,14 @@ def test_loads_defaults_and_comments():
         loads_set("# field rational\nnot-a-number\n")
 
 
+def test_field_header_after_elements_is_refused():
+    # A late header would reinterpret the rationals read before it.
+    with pytest.raises(ValueError, match="line 3: field header after elements"):
+        loads_set("1/2\n40\n# field fp 31\n3\n")
+    with pytest.raises(ValueError, match="line 2: field header after elements"):
+        loads_set("1\n# field rational\n")
+
+
 def test_canonical_order_in_dump():
     a = ArithSet([5, -2, Fraction(1, 3)])
     body = dumps_set(a).splitlines()[1:]
