@@ -35,7 +35,7 @@ from itertools import combinations
 from math import gcd
 
 from .field import CeilingExceeded
-from .sets import ArithSet, _scaled_values, require_same_mode
+from .sets import ArithSet, _values_for, require_same_mode
 
 #: Ceiling on the number of pairs of union grid points a line count covers.
 DEFAULT_PAIR_CEILING = 100_000_000
@@ -45,14 +45,6 @@ DEFAULT_BRUTE_CEILING = 5_000_000
 
 class RouteDisagreement(RuntimeError):
     """Raised when two exact counting routes give different answers."""
-
-
-def _values_for(sets: list[ArithSet]) -> tuple[list[list[int]], int | None]:
-    require_same_mode(*sets)
-    p = sets[0].p
-    if p is None:
-        return _scaled_values(sets)[0], None
-    return [list(s._values) for s in sets], p
 
 
 def _union_size(value_lists: list[list[int]]) -> int:
@@ -294,23 +286,27 @@ def dyadic_table(
     _guard_pairs(_union_size(values), pair_ceiling)
     inverse = None if p is None else _inverses(values, p)
     first, second = values
-    same = first == second
-    common = list(set(first) & set(second))
     points, masks = _union_points(values)
-    views: Counter = Counter()
-    for (x1, y1), mask in zip(points, masks):
-        f0, s0, both0 = mask & 1, mask >> 1, int(mask == 3)
-        hf = _directions(x1, y1, first, p, inverse, False)
-        if same:
-            hs = hboth = hf
-        else:
+    if first == second:
+        # Every point lies in both grids, so a direction holding n other
+        # points is a line of richness n + 1 in each.
+        sizes: Counter = Counter()
+        for x1, y1 in points:
+            sizes.update(_directions(x1, y1, first, p, inverse, False).values())
+        views = {(n + 1, n + 1, n + 1): k for n, k in sizes.items()}
+    else:
+        common = list(set(first) & set(second))
+        views = Counter()
+        for (x1, y1), mask in zip(points, masks):
+            f0, s0, both0 = mask & 1, mask >> 1, int(mask == 3)
+            hf = _directions(x1, y1, first, p, inverse, False)
             hs = _directions(x1, y1, second, p, inverse, False)
             hboth = _directions(x1, y1, common, p, inverse, False)
-        for d, n in hf.items():
-            views[(n + f0, hs[d] + s0, hboth[d] + both0)] += 1
-        for d, n in hs.items():
-            if d not in hf:  # no point of C x C, so none of the overlap
-                views[(f0, n + s0, both0)] += 1
+            for d, n in hf.items():
+                views[(n + f0, hs[d] + s0, hboth[d] + both0)] += 1
+            for d, n in hs.items():
+                if d not in hf:  # no point of C x C, so none of the overlap
+                    views[(f0, n + s0, both0)] += 1
     census = {
         (f, s, both): n // (f + s - both)
         for (f, s, both), n in sorted(views.items())

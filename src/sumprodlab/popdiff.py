@@ -10,17 +10,30 @@ Also here: the two telescoping ratio identities used as regression guards
 for the arithmetic layer, the degenerate-free ratio sets X and Y built
 from a pair (B, C), and the lower bound E_+(YX) >= N |Y| |R| obtained by
 generating explicit additive quadruples (y, yx, y a1, y a2).
+
+The ratio walks run on plain ints.  Over Q the sets are scaled to one
+common denominator and each ratio is keyed on its reduced int pair
+(num, den), with the sign on num; over F_p each nonzero denominator is
+inverted once and a ratio is keyed on its residue.  ``Fraction`` and
+``Residue`` objects are built only for the distinct values.  The identity
+battery of :mod:`sumprodlab.verify` checks both identities on
+cross-multiplied ints; the two ``*_identity_holds`` functions here are the
+same checks on field elements.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
-from .field import CeilingExceeded, FieldElement, OutsideDomain, coerce_element
+from .field import CeilingExceeded, FieldElement, OutsideDomain, Residue, coerce_element
 from .sets import (
     DEFAULT_ELEMENT_CEILING,
     ArithSet,
+    _values_for,
     product_set,
     ratio_set,
     require_same_mode,
@@ -66,6 +79,35 @@ def guard_collision_ceiling(b: ArithSet, ceiling: int | None) -> None:
         raise CeilingExceeded("collision count over B^3 ratio values", n**3, ceiling)
 
 
+def _divisors(ys: list[int], ws: list[int], p: int | None) -> list[tuple]:
+    """y + w for each (y, w) of ys x ws in order, ready for :func:`_quotients`:
+    over Q as (w, sign, |y + w|), over F_p as (w, inverse of y + w), each
+    inverse computed once.  A vanishing y + w ends in 0."""
+    if p is None:
+        return [(w, (d > 0) - (d < 0), abs(d)) for y in ys for w in ws for d in (y + w,)]
+    sums = [(w, (y + w) % p) for y in ys for w in ws]
+    inverse = {d: pow(d, -1, p) for d in {d for _, d in sums} if d}
+    inverse[0] = 0
+    return [(w, inverse[d]) for w, d in sums]
+
+
+def _quotients(x: int, divisors: list[tuple], p: int | None) -> list:
+    """The key of (x + w)/(y + w) for each prepared divisor: the reduced int
+    pair (num, den) with den > 0 over Q, the residue over F_p, and ``None``
+    where y + w vanishes."""
+    if p is None:
+        return [
+            (sign * (n := x + w) // (g := gcd(n, d)), d // g) if d else None
+            for w, sign, d in divisors
+        ]
+    return [(x + w) * inv % p if inv else None for w, inv in divisors]
+
+
+def _element(key, p: int | None) -> FieldElement:
+    """The field element of a :func:`_quotients` key."""
+    return Fraction(*key) if p is None else Residue(key, p)
+
+
 def build_popular_ratios(
     graph: ContainmentGraph,
     subset: ArithSet | None = None,
@@ -90,20 +132,22 @@ def build_popular_ratios(
     guard_collision_ceiling(b, ceiling)
 
     pairs = rich_pairs(graph, tau, within=subset)
-    elems = b.elements
-    multiplicity: dict[FieldElement, int] = {}
+    (vals,), p = _values_for([b])
+    n = len(vals)
+    # Row i holds the divisors b1 + bk for b1 = b_i; a common neighbor bk
+    # of b1 puts b1 + bk in A, so none of them vanishes.
+    divisors = _divisors(vals, vals, p)
+    keys: Counter = Counter()
     triples_total = 0
     for b1, b2, _count in pairs:
         i = b.index_of(b1)
         j = b.index_of(b2)
         mask = graph.adjacency[i] & graph.adjacency[j]
-        for k in range(len(elems)):
-            if not (mask >> k & 1):
-                continue
-            bk = elems[k]
-            x = (b2 + bk) / (b1 + bk)
-            multiplicity[x] = multiplicity.get(x, 0) + 1
-            triples_total += 1
+        row = divisors[i * n : (i + 1) * n]
+        shared = [row[k] for k in range(n) if mask >> k & 1]
+        keys.update(_quotients(vals[j], shared, p))
+        triples_total += len(shared)
+    multiplicity = {_element(key, p): count for key, count in keys.items()}
 
     walk = _ratio_walk(b, b)
     collision_count = energy_from_counts(walk.counts)
@@ -276,23 +320,30 @@ class _RatioWalk(NamedTuple):
 
 
 def _ratio_walk(first: ArithSet, second: ArithSet) -> _RatioWalk:
-    counts: dict[FieldElement, int] = {}
+    (fs, ss), p = _values_for([first, second])
+    m = len(ss)
+    divisors = _divisors(fs, ss, p)
+    keys: Counter = Counter()
+    # Key -> (i, position in row i) of its first tuple: row i runs over
+    # (f2, s) for the i-th f1, all in canonical order, so the first row a
+    # key shows up in holds its first tuple.  Built from the reversed row,
+    # a dict keeps each key's first position in that row.
+    at: dict = {}
+    for i, u in enumerate(fs):
+        row = _quotients(u, divisors, p)
+        keys.update(row)
+        firsts = dict(zip(reversed(row), range(len(row) - 1, -1, -1)))
+        for key in firsts.keys() - at.keys():
+            at[key] = (i, firsts[key])
+    skipped = keys.pop(None, 0)
+    f_el, s_el = first.elements, second.elements
+    counts = {}
     witness = {}
-    skipped = 0
-    for f1 in first:
-        for f2 in first:
-            for s in second:
-                den = f2 + s
-                if not den:
-                    skipped += 1
-                    continue
-                val = (f1 + s) / den
-                got = counts.get(val)
-                if got is None:
-                    witness[val] = (f1, f2, s)
-                    counts[val] = 1
-                else:
-                    counts[val] = got + 1
+    for key, count in keys.items():
+        i, pos = at[key]
+        val = _element(key, p)
+        counts[val] = count
+        witness[val] = (f_el[i], f_el[pos // m], s_el[pos % m])
     return _RatioWalk(counts, witness, skipped)
 
 

@@ -291,6 +291,18 @@ def _scaled_values(sets: list[ArithSet]) -> tuple[list[list[int]], int]:
     return [[x.numerator * (scale // x.denominator) for x in s._values] for s in sets], scale
 
 
+def _values_for(sets: list[ArithSet]) -> tuple[list[list[int]], int | None]:
+    """Plain-int coordinates of same-mode sets and their modulus: the values
+    scaled to a common denominator over Q (``None``), the stored residues
+    over F_p.  Scaling by a positive int keeps canonical order and every
+    quotient of differences or sums."""
+    require_same_mode(*sets)
+    p = sets[0].p
+    if p is None:
+        return _scaled_values(sets)[0], None
+    return [list(s._values) for s in sets], p
+
+
 def _require_nonempty(*sets: ArithSet) -> None:
     for s in sets:
         if len(s) == 0:

@@ -53,8 +53,6 @@ from .popdiff import (
     build_ratio_sets,
     guard_collision_ceiling,
     quadruple_energy_bound,
-    ratio_product_identity_holds,
-    shift_ratio_identity_holds,
 )
 from .solvers import decomposition_report
 
@@ -501,28 +499,49 @@ def ratio_set_bounds_check(b: ArithSet, c: ArithSet | None = None) -> CheckRecor
 
 
 def identity_battery(seed: int = 7, trials: int = 10_000) -> CheckRecord:
-    """Both ratio identities on seeded random rational tuples, exactly."""
-    rng = random.Random(seed)
+    """Both ratio identities on seeded random rational tuples, exactly.
+
+    Each tuple is four draws num/den brought to one common denominator, so
+    the identities read the same on the scaled ints.  Every quotient is an
+    int pair (num, den) and both sides are compared by cross-multiplying;
+    ``shift_ratio_identity_holds`` and ``ratio_product_identity_holds`` are
+    the same checks on field elements.
+    """
+    randint = random.Random(seed).randint
 
     def draw():
-        return Fraction(rng.randint(-50, 50), rng.randint(1, 20))
+        pairs = [(randint(-50, 50), randint(1, 20)) for _ in range(4)]
+        scale = math.lcm(*(den for _, den in pairs))
+        return [num * (scale // den) for num, den in pairs]
+
+    def equal(x, y):
+        return x[0] * y[1] == y[0] * x[1]
 
     passed = 0
     done_shift = 0
     while done_shift < trials:
-        b1, b2, b, alt = (draw() for _ in range(4))
-        if not b1 + b:
+        b1, b2, b, alt = draw()
+        den = b1 + b
+        if not den:
             continue
         done_shift += 1
-        if shift_ratio_identity_holds(b1, b2, b, alt):
+        # 1 - (b2+b)/den = (b1-b2)/den = (b1+b')/den - (b2+b')/den
+        lhs = (den - (b2 + b), den)
+        mid = (b1 - b2, den)
+        rhs = ((b1 + alt) * den - (b2 + alt) * den, den * den)
+        if equal(lhs, mid) and equal(mid, rhs):
             passed += 1
     done_product = 0
     while done_product < trials:
-        b1, b2, c, alt = (draw() for _ in range(4))
-        if not (b2 + c) or not (b2 + alt):
+        b1, b2, c, alt = draw()
+        den, den_alt = b2 + c, b2 + alt
+        if not den or not den_alt:
             continue
         done_product += 1
-        if ratio_product_identity_holds(b1, b2, c, alt):
+        # 1 - (b1+c)/den = (den'/den) (1 - (b1+c')/den')
+        lhs = (den - (b1 + c), den)
+        rhs = (den_alt * (den_alt - (b1 + alt)), den * den_alt)
+        if equal(lhs, rhs):
             passed += 1
     total = done_shift + done_product
     return CheckRecord(

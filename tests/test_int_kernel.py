@@ -4,12 +4,13 @@ modes: rationals, and several small primes, where the sets store ints mod p.
 
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumprodlab import incidence
+from sumprodlab import incidence, popdiff
 from sumprodlab.energy import (
     additive_energy,
     energy_quadruples,
@@ -18,8 +19,9 @@ from sumprodlab.energy import (
 )
 from sumprodlab.families import generate, parse_family
 from sumprodlab.field import CeilingExceeded, Residue
-from sumprodlab.graph import build_containment_graph
+from sumprodlab.graph import build_containment_graph, rich_pairs
 from sumprodlab.incidence import collinear_triples, collinear_triples_brute, dyadic_table
+from sumprodlab.popdiff import build_ratio_sets
 from sumprodlab.sets import (
     ArithSet,
     difference_set,
@@ -256,6 +258,104 @@ def test_residue_elements_are_built_on_demand():
     assert s._derived is None
     assert s.elements[0] == Residue(2, 31)
     assert s._derived["elements"] is s.elements
+
+
+# -- popular-ratio walks on int keys ----------------------------------------------
+
+
+def _walk_by_elements(first, second):
+    """(f1 + s)/(f2 + s) over first^2 x second on the elements themselves:
+    counts, the lexicographically first tuple of each value, and the tuples
+    with a vanishing denominator."""
+    counts, witness, skipped = {}, {}, 0
+    for f1, f2, s in product(first.elements, first.elements, second.elements):
+        if not f2 + s:
+            skipped += 1
+            continue
+        val = (f1 + s) / (f2 + s)
+        counts[val] = counts.get(val, 0) + 1
+        witness.setdefault(val, (f1, f2, s))
+    return counts, witness, skipped
+
+
+def _with_vanishing(pair, mirror):
+    """The pair, with -min(first) added to the second set when ``mirror``,
+    so that some denominator f2 + s vanishes."""
+    first, second = pair
+    if mirror:
+        second = ArithSet([*second.elements, -first.elements[0]], p=first.p)
+    return first, second
+
+
+def _check_walk(first, second):
+    counts, witness, skipped = _walk_by_elements(first, second)
+    walk = popdiff._ratio_walk(first, second)
+    assert walk.counts == counts
+    assert walk.witness == witness
+    assert walk.skipped == skipped
+    if len(first) < 2 or len(second) < 2:
+        return
+    rs = build_ratio_sets(first, second)
+    degenerate = {Fraction(0), Fraction(1)} if first.p is None else {
+        Residue(0, first.p),
+        Residue(1, first.p),
+    }
+    kept = {val: n for val, n in counts.items() if val not in degenerate}
+    assert rs.x_set == ArithSet(kept, p=first.p)
+    assert rs.x_witness == {val: witness[val] for val in kept}
+    assert rs.skipped_x == skipped + sum(counts.get(val, 0) for val in degenerate)
+    assert rs.total_x == sum(kept.values())
+    assert rs.collisions_x == sum(n * n for n in kept.values())
+
+
+@given(_sets(2, max_size=5), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_ratio_walk_matches_elementwise(pair, mirror):
+    first, second = _with_vanishing(pair, mirror)
+    _check_walk(first, second)
+    _check_walk(second, first)
+
+
+@given(FIELD_PRIMES.flatmap(lambda p: st.tuples(_set_in(p), _set_in(p))), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_ratio_walk_over_prime_fields_with_minus_one(pair, both):
+    # -1 in the first set and 1 in the second make f2 + s vanish.
+    first, second = pair
+    p = first.p
+    first = ArithSet([*first.elements, Residue(-1, p)], p=p)
+    if both:
+        second = ArithSet([*second.elements, Residue(1, p)], p=p)
+    _check_walk(first, second)
+
+
+@pytest.mark.parametrize(
+    "spec", ["subgroup:p=13,d=4", "subgroup:p=31,d=6", "gp:q=2,n=6", "ap:a=-3,d=1,n=7"]
+)
+def test_ratio_walk_on_families(spec):
+    a = generate(parse_family(spec))
+    _check_walk(a, a)
+    _check_walk(a, negate(a))
+
+
+@given(_sets(1, max_size=6), st.lists(st.booleans(), min_size=36, max_size=36), st.integers(1, 3))
+@settings(max_examples=100, deadline=None)
+def test_popular_ratio_multiplicity_matches_elementwise(one, keep, tau):
+    (b,) = one
+    sums = [x for x in sumset(b, b).elements if x]
+    a = ArithSet([x for x, k in zip(sums, keep) if k], p=b.p)
+    if not len(a):
+        return
+    graph = build_containment_graph(b, a)
+    cert = popdiff.build_popular_ratios(graph, b, tau)
+    want = {}
+    for b1, b2, _count in rich_pairs(graph, tau):
+        for bk in b.elements:
+            if b1 + bk in a and b2 + bk in a:
+                x = (b2 + bk) / (b1 + bk)
+                want[x] = want.get(x, 0) + 1
+    assert cert.multiplicity == want
+    assert cert.triples_total == sum(want.values())
+    assert cert.ratios == ArithSet(want, p=b.p)
 
 
 # -- ceilings before the work -----------------------------------------------------

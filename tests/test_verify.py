@@ -1,8 +1,10 @@
 """Claim records, the exponent ledger, slope fits, and report output."""
 
 import json
+import random
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -279,6 +281,45 @@ def test_identity_battery_small():
     rec = identity_battery(seed=5, trials=200)
     assert rec.verdict == "pass"
     assert rec.lhs == rec.rhs == 400
+
+
+@pytest.mark.parametrize("seed", [1, 7, 2024])
+def test_identity_battery_matches_the_element_route(monkeypatch, seed):
+    made = []
+
+    class Recording(random.Random):
+        def __init__(self, s):
+            super().__init__(s)
+            made.append(self)
+
+    monkeypatch.setattr(verify, "random", SimpleNamespace(Random=Recording))
+    rec = identity_battery(seed=seed, trials=300)
+
+    # The same draws as Fraction elements, through the element-level checks.
+    rng = random.Random(seed)
+
+    def draw():
+        return Fraction(rng.randint(-50, 50), rng.randint(1, 20))
+
+    passed = done = 0
+    for holds, vanishes in (
+        (popdiff.shift_ratio_identity_holds, lambda b1, b2, b, alt: not b1 + b),
+        (
+            popdiff.ratio_product_identity_holds,
+            lambda b1, b2, c, alt: not (b2 + c) or not (b2 + alt),
+        ),
+    ):
+        count = 0
+        while count < 300:
+            t = [draw() for _ in range(4)]
+            if vanishes(*t):
+                continue
+            count += 1
+            passed += holds(*t)
+        done += count
+    assert (rec.lhs, rec.rhs) == (passed, done) == (600, 600)
+    assert len(made) == 1
+    assert made[0].getstate() == rng.getstate()
 
 
 def test_run_claim_unknown_and_ceiling():
