@@ -5,8 +5,11 @@ collinear points (p, q, r) with p in X x X, q in Y x Y, r in Z x Z.
 The production path takes, for each point p of the first grid, a
 histogram of the directions from p to the points of the other two grids
 and counts the pairs (q, r) sharing a direction; the brute-force path
-enumerates all point triples and tests the 3x3 determinant.  Both are
-exact and are kept as independent routes for cross-checking.
+enumerates point triples and tests the 3x3 determinant, with no
+directions or hashing.  When X = Y = Z it tests each unordered triple of
+distinct points once and counts it six times; otherwise it tests every
+ordered triple.  Both are exact and are kept as independent routes for
+cross-checking.
 
 Rational coordinates are scaled by a common denominator so that the hot
 loops run on plain integers; collinearity and richness do not change under
@@ -157,13 +160,26 @@ def collinear_triples(
     return total
 
 
+def _determinant_hits(dx: int, dy: int, offsets: list[tuple[int, int]], p: int | None) -> int:
+    """How many offsets (ex, ey) make dx*ey - ex*dy vanish, or vanish mod p."""
+    if p is None:
+        return sum(1 for ex, ey in offsets if dx * ey == ex * dy)
+    return sum(1 for ex, ey in offsets if not (dx * ey - ex * dy) % p)
+
+
 def collinear_triples_brute(
     x: ArithSet,
     y: ArithSet,
     z: ArithSet,
     ceiling: int | None = DEFAULT_BRUTE_CEILING,
 ) -> int:
-    """Oracle route: enumerate every point triple and test the determinant."""
+    """Oracle route: enumerate point triples and test the determinant.
+
+    With X = Y = Z each unordered triple of distinct grid points is tested
+    once and counted six times, since collinearity does not depend on the
+    order of the points.  Otherwise every ordered triple (P, Q, R) is
+    tested, with the offsets of the third grid from P built once per P.
+    """
     if not (len(x) and len(y) and len(z)):
         raise ValueError("all three sets must be nonempty")
     require_same_mode(x, y, z)
@@ -172,23 +188,25 @@ def collinear_triples_brute(
         raise CeilingExceeded("brute-force triple enumeration", work, ceiling)
     values, p = _values_for([x, y, z])
     grids = [[(u, v) for u in vals for v in vals] for vals in values]
-    last = grids[2]
-    in_last = set(last)
+    if values[0] == values[1] == values[2]:
+        points = grids[0]
+        unordered = 0
+        for i, (px, py) in enumerate(points):
+            later = [(qx - px, qy - py) for qx, qy in points[i + 1 :]]
+            for j, (dx, dy) in enumerate(later, 1):
+                unordered += _determinant_hits(dx, dy, later[j:], p)
+        return 6 * unordered
+    in_last = set(grids[2])
     total = 0
     for px, py in grids[0]:
+        offsets = [(rx - px, ry - py) for rx, ry in grids[2]]
+        in_p = (px, py) in in_last
         for qx, qy in grids[1]:
             if qx == px and qy == py:
                 continue
-            dqx = qx - px
-            dqy = qy - py
-            if p is None:
-                hits = sum(1 for rx, ry in last if dqx * (ry - py) == (rx - px) * dqy)
-            else:
-                hits = sum(
-                    1 for rx, ry in last if (dqx * (ry - py) - (rx - px) * dqy) % p == 0
-                )
+            hits = _determinant_hits(qx - px, qy - py, offsets, p)
             # r = p and r = q pass the determinant test but are no triple.
-            total += hits - ((px, py) in in_last) - ((qx, qy) in in_last)
+            total += hits - in_p - ((qx, qy) in in_last)
     return total
 
 

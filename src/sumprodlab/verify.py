@@ -652,6 +652,10 @@ CLAIMS = {
 #: evaluates each of them once per suite and reuses the record.
 INSTANCE_FREE = frozenset({"identities", "exponent_chain"})
 
+#: Claims that check an inequality proved over the reals; on a prime-field
+#: set they are outside their domain and read as undefined, not judged.
+REAL_ONLY = frozenset({"shift_bound"})
+
 #: Families of claims with a meaningful log-log slope, and the slope
 #: threshold used in summaries (claimed exponent + slack).
 SLOPE_TARGETS = {
@@ -684,9 +688,13 @@ def run_claim(claim: str, a: ArithSet | None, options: dict | None = None) -> Ch
     """Run one claim, converting capacity aborts into 'ceiling' records and
     an instance outside the claim's domain (an edgeless containment graph,
     0 in A for the ratio claims, a prime-field decomposition, a singleton
-    where a claim needs two elements) into an 'undefined' record."""
+    where a claim needs two elements, a real-number inequality on a
+    prime-field set) into an 'undefined' record."""
     if claim not in CLAIMS:
         raise ValueError(f"unknown claim {claim!r}; known: {sorted(CLAIMS)}")
+    if claim in REAL_ONLY and a is not None and a.p is not None:
+        reason = f"{claim} is an inequality over the reals, not judged over F_{a.p}"
+        return _unanswered(claim, a, "undefined", reason)
     options = options or {}
     try:
         return CLAIMS[claim](a, options)

@@ -156,6 +156,18 @@ def test_verify_cli_exit_codes(tmp_path, capsys):
     assert code == 2
 
 
+def test_shift_bound_is_undefined_over_a_prime_field(tmp_path, capsys):
+    # The overlap 7 exceeds the real-number ceiling 6 here, but that bound
+    # is a theorem over the reals, so the row is no exact failure.
+    a_file = str(tmp_path / "a.txt")
+    run(capsys, "gen", "subgroup:p=29,d=14", "--out", a_file)
+    code, out = run(capsys, "verify", a_file, "--suite", "shift_bound")
+    assert code == 0
+    (record,) = json.loads(out)
+    assert record["verdict"] == "undefined"
+    assert "F_29" in record["details"]["error"]
+
+
 def test_report_cli(tmp_path, capsys):
     out_dir = str(tmp_path / "rep")
     code, _ = run(

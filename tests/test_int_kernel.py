@@ -4,10 +4,10 @@ modes: rationals, and several small primes, where the sets store ints mod p.
 
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sumprodlab import incidence, popdiff
@@ -20,7 +20,12 @@ from sumprodlab.energy import (
 from sumprodlab.families import generate, parse_family
 from sumprodlab.field import CeilingExceeded, Residue
 from sumprodlab.graph import build_containment_graph, rich_pairs
-from sumprodlab.incidence import collinear_triples, collinear_triples_brute, dyadic_table
+from sumprodlab.incidence import (
+    collinear_triples,
+    collinear_triples_brute,
+    dyadic_table,
+    sextuple_collinearity_count,
+)
 from sumprodlab.popdiff import build_ratio_sets
 from sumprodlab.sets import (
     ArithSet,
@@ -127,6 +132,45 @@ def test_collinear_triples_match_brute_force(triple, sharing):
     elif sharing == "x=y=z":
         y = z = x
     assert collinear_triples(x, y, z) == collinear_triples_brute(x, y, z)
+
+
+def _ordered_collinear_triples(a):
+    """Ordered triples of distinct points of A x A with a vanishing
+    determinant, on the elements themselves."""
+    points = [(u, v) for u in a.elements for v in a.elements]
+    return sum(
+        1
+        for (px, py), (qx, qy), (rx, ry) in permutations(points, 3)
+        if (qx - px) * (ry - py) == (rx - px) * (qy - py)
+    )
+
+
+def _one_set(max_size):
+    """One set over Q or over F_2, F_3, F_7, F_13 or F_31."""
+    primes = st.sampled_from([2, 3, 7, 13, 31])
+    return st.one_of(
+        _set_in(None, max_size=max_size), primes.flatmap(lambda p: _set_in(p, max_size=max_size))
+    )
+
+
+@given(_one_set(max_size=5))
+@example(ArithSet([0, -1, Fraction(1, 2), 3, Fraction(-7, 3)]))
+@example(ArithSet([0, 1, 2, 3, 4], p=7))
+@settings(max_examples=80, deadline=None)
+def test_brute_triples_on_one_grid_match_ordered_enumeration(a):
+    assert collinear_triples_brute(a, a, a) == _ordered_collinear_triples(a)
+
+
+@given(_one_set(max_size=4))
+@example(ArithSet([0, Fraction(-1, 2), 2, 5]))
+@settings(max_examples=60, deadline=None)
+def test_sextuple_count_matches_the_equation_over_a6(a):
+    total = nondeg = 0
+    for s, t, u, s2, t2, u2 in product(a.elements, repeat=6):
+        if (s - t) * (s2 - u2) == (s - u) * (s2 - t2):
+            total += 1
+            nondeg += len({(s, s2), (t, t2), (u, u2)}) == 3
+    assert sextuple_collinearity_count(a) == (total, nondeg)
 
 
 @given(_sets(2, modes=FIELD_PRIMES, max_size=5))

@@ -381,8 +381,8 @@ def test_run_suite_keeps_going_past_an_undefined_row(tmp_path):
 
 
 def test_run_suite_writes_every_row_outside_a_claims_domain(tmp_path):
-    # 0 is in the progression; the subgroup lives in F_13 and no two of its
-    # elements sum into it.
+    # 0 is in the progression; the subgroup lives in F_13, where no two of its
+    # elements sum into it and the real-number shift bound is not judged.
     ap, subgroup = parse_family("ap:d=3,n=9"), parse_family("subgroup:p=13,d=4")
     rows, summary = run_suite([ap, subgroup], sorted(CLAIMS), {"trials": 50})
     assert len(rows) == 2 * len(CLAIMS)
@@ -394,6 +394,7 @@ def test_run_suite_writes_every_row_outside_a_claims_domain(tmp_path):
         (subgroup.label(), "popular_ratios"),
         (subgroup.label(), "basis_chain"),
         (subgroup.label(), "decomposition"),
+        (subgroup.label(), "shift_bound"),
     }
     csv_path, _json_path = write_report(rows, summary, tmp_path)
     assert len(csv_path.read_text().splitlines()) == len(rows) + 1
