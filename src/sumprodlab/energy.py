@@ -2,13 +2,14 @@
 
 The additive energy of a set S is the number of ordered quadruples
 (a1, a2, a3, a4) in S^4 with a1 + a2 = a3 + a4; multiplicative energy is
-the analogue for products.  Both are computed by counting the raw values
-of the pair kernel in :mod:`sumprodlab.sets` (ints modulo p in F_p) into a
-representation function r(s) = #{(u, v) : u o v = s} and summing r(s)^2
--- O(|S|^2) time and space, with no field element built per pair.  sigma_A(B)
-sums r_{B+-B} over A.  One shift overlap |A ∩ (A+α)| is counted on the index
-of A, and its bound reads M from the A*A the set keeps.  The O(|S|^4)
-quadruple enumeration :func:`energy_quadruples` is kept alongside as the
+the analogue for products.  Both are computed by counting the int keys
+of the pair kernel in :mod:`sumprodlab.sets` (ints modulo p in F_p, ints
+over a common denominator in Q) into a representation function
+r(s) = #{(u, v) : u o v = s} and summing r(s)^2 -- O(|S|^2) time and
+space, with no field element built per pair.  sigma_A(B) sums r_{B+-B}
+over A.  One shift overlap |A ∩ (A+α)| is counted on the same plain ints,
+and its bound reads M from the A*A the set keeps.  The O(|S|^4) quadruple
+enumeration :func:`energy_quadruples` is kept alongside as the
 independent oracle and slow path for cross-checking both energies.
 """
 
@@ -24,6 +25,8 @@ from .sets import (
     DEFAULT_ELEMENT_CEILING,
     ArithSet,
     PairCounts,
+    _Keys,
+    _scaled_values,
     aa_over_a,
     multiplicative_doubling,
     require_same_mode,
@@ -142,10 +145,16 @@ def shift_intersection(a: ArithSet, alpha) -> int:
     alpha = coerce_element(alpha, a.p)
     if not alpha:
         raise ValueError("shift must be nonzero")
-    index = a._index
-    if a.p is None:
-        return sum(1 for x in a._values if x - alpha in index)
-    return sum(1 for x in a._values if (x - alpha.value) % a.p in index)
+    if a.p is not None:
+        index = a._index
+        return sum(1 for x in a._values if (x - alpha.value) % a.p in index)
+    # Over Q on the ints d·x: a difference of A lies on the lattice (1/d)Z.
+    (xs,), d = _scaled_values([a])
+    shift = _Keys(None, d).key(alpha)
+    if shift is None:
+        return 0
+    index = set(xs)
+    return sum(1 for x in xs if x - shift in index)
 
 
 def _cube_root_ceil(q: Fraction) -> int:

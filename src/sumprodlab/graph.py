@@ -35,11 +35,14 @@ class ContainmentGraph:
             raise ValueError("containment graph requires nonempty sets")
         require_same_mode(basis, target)
         n = len(basis)
-        index = target._index
+        rows, keys = _pair_rows(basis, basis, "plus")
+        # Over Q a sum of B lies on the lattice of B's common denominator,
+        # so only the values of A on that lattice can be hit.
+        index = target._index if keys.p is not None else {keys.key(v) for v in target._values}
         masks = []
         edges = 0
-        # Row i of the pair sums, tested against the raw index of A.
-        for row in _pair_rows(basis, basis, "plus"):
+        # Row i of the pair sums, tested against the keys of A.
+        for row in rows:
             mask = sum(1 << j for j in compress(range(n), map(index.__contains__, row)))
             masks.append(mask)
             edges += mask.bit_count()

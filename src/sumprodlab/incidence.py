@@ -155,7 +155,9 @@ def collinear_triples(
         for y1 in v0:
             g = _directions(x1, y1, v1, p, inverse, False)
             h = g if same else _directions(x1, y1, v2, p, inverse, False)
-            total += sum(n * h[d] for d, n in g.items())
+            # Only shared directions contribute; a miss in a Counter costs
+            # a Python-level __missing__ call.
+            total += sum(g[d] * h[d] for d in g.keys() & h.keys())
             total -= len(common) ** 2 - (x1 in common and y1 in common)
     return total
 

@@ -15,8 +15,10 @@ The ratio walks run on plain ints.  Over Q the sets are scaled to one
 common denominator and each ratio is keyed on its reduced int pair
 (num, den), with the sign on num; over F_p each nonzero denominator is
 inverted once and a ratio is keyed on its residue.  ``Fraction`` and
-``Residue`` objects are built only for the distinct values.  The identity
-battery of :mod:`sumprodlab.verify` checks both identities on
+``Residue`` objects are built only for the distinct values, in canonical
+order after a sort on the int keys.  The solutions of 1 - x = a1 - a2 and
+the quadruples of the energy floor are counted on plain ints too.  The
+identity battery of :mod:`sumprodlab.verify` checks both identities on
 cross-multiplied ints; the two ``*_identity_holds`` functions here are the
 same checks on field elements.
 """
@@ -26,6 +28,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 from typing import NamedTuple
 
@@ -33,6 +36,9 @@ from .field import CeilingExceeded, FieldElement, OutsideDomain, Residue, coerce
 from .sets import (
     DEFAULT_ELEMENT_CEILING,
     ArithSet,
+    _canonical,
+    _int_values,
+    _Keys,
     _values_for,
     product_set,
     ratio_set,
@@ -108,6 +114,12 @@ def _element(key, p: int | None) -> FieldElement:
     return Fraction(*key) if p is None else Residue(key, p)
 
 
+def _ordered_set(elements, p: int | None) -> ArithSet:
+    """The set of distinct field elements given in canonical order."""
+    values = elements if p is None else (e.value for e in elements)
+    return ArithSet._from_values(values, p, ordered=True)
+
+
 def build_popular_ratios(
     graph: ContainmentGraph,
     subset: ArithSet | None = None,
@@ -147,12 +159,15 @@ def build_popular_ratios(
         shared = [row[k] for k in range(n) if mask >> k & 1]
         keys.update(_quotients(vals[j], shared, p))
         triples_total += len(shared)
-    multiplicity = {_element(key, p): count for key, count in keys.items()}
+    multiplicity = {_element(key, p): keys[key] for key in _Keys(p, None).sort(keys)}
 
-    walk = _ratio_walk(b, b)
-    collision_count = energy_from_counts(walk.counts)
+    # The collision count runs over the B^3 ratio values (b2 + b)/(b1 + b),
+    # counted by key: the divisors above are all the b1 + b.
+    walk = Counter(chain.from_iterable(_quotients(u, divisors, p) for u in vals))
+    skipped = walk.pop(None, 0)
+    collision_count = energy_from_counts(walk)
 
-    ratios = ArithSet(multiplicity.keys(), p=b.p)
+    ratios = _ordered_set(multiplicity, p)
     total = sum(multiplicity.values())
     cs_ok = total * total <= len(ratios) * collision_count
     # A/A is built only for a nonempty R, and A keeps it.
@@ -163,7 +178,7 @@ def build_popular_ratios(
         collision_count=collision_count,
         tau=tau,
         triples_total=triples_total,
-        skipped_triples=walk.skipped,
+        skipped_triples=skipped,
         conservation_ok=(total == triples_total),
         cauchy_schwarz_ok=cs_ok,
         within_target_ratios=within,
@@ -202,13 +217,22 @@ def ratio_product_identity_holds(b1, b2, c, c_alt) -> bool:
 
 def one_minus_x_solutions(x, d: ArithSet) -> int:
     """Count pairs (a1, a2) in D^2 with a1 - a2 = 1 - x."""
-    return len(_solution_pairs(x, d))
+    (vals,), one, p = _int_values([d])
+    target = _canonical(coerce_element(1, d.p) - coerce_element(x, d.p), d.p)
+    # Over Q a difference of D lies on the lattice of D's common denominator.
+    shift = _Keys(p, one).key(target)
+    if shift is None:
+        return 0
+    return len(_solution_pairs(shift, vals, set(vals), p))
 
 
-def _solution_pairs(x, d: ArithSet) -> list[tuple]:
-    """Every solution pair (a1, a2) of a1 - a2 = 1 - x, in canonical order."""
-    target = coerce_element(1, d.p) - coerce_element(x, d.p)
-    return [(a2 + target, a2) for a2 in d if (a2 + target) in d]
+def _solution_pairs(shift: int, vals: list[int], index: set, p: int | None) -> list[tuple]:
+    """Every pair (a1, a2) of the plain ints ``vals`` (from :func:`_int_values`,
+    with ``index`` their set) with a1 - a2 = shift, in canonical order of a2;
+    over F_p the difference is taken mod p."""
+    if p is None:
+        return [(a2 + shift, a2) for a2 in vals if a2 + shift in index]
+    return [(a1, a2) for a2 in vals if (a1 := (a2 + shift) % p) in index]
 
 
 @dataclass(frozen=True)
@@ -252,26 +276,33 @@ def quadruple_energy_bound(
     yx = product_set(y, x, ceiling)
     energy = additive_energy(yx, ceiling)
     errors = []
-    one = coerce_element(1, x.p)
-    if one not in x:
+    # X and R on plain ints over one common denominator (residues in F_p).
+    (xs, rs), one, p = _int_values([x, r])
+    index = set(xs)
+    if one not in index:
         errors.append("1 is not in X")
-    if any(el not in x for el in r):
+    if not index.issuperset(rs):
         errors.append("R is not a subset of X")
     if y.contains_zero():
         errors.append("0 is in Y")
-    solutions = {el: _solution_pairs(el, x) for el in r}
+    solutions = [_solution_pairs(one - el, xs, index, p) for el in rs]
     if n is None:
-        n = min(map(len, solutions.values()), default=0)
-    short = [el for el, pairs in solutions.items() if len(pairs) < n]
+        n = min(map(len, solutions), default=0)
+    short = sum(1 for pairs in solutions if len(pairs) < n)
     if short:
-        errors.append(f"{len(short)} element(s) of R have fewer than {n} solutions")
+        errors.append(f"{short} element(s) of R have fewer than {n} solutions")
 
+    # Y over its own common denominator: each coordinate of a quadruple is
+    # its value times one fixed positive int, so distinct stays distinct.
+    (ys,), _, _ = _int_values([y])
     quadruples = set()
-    for el, pairs in solutions.items():
+    for el, pairs in zip(rs, solutions):
         # The first n pairs witness the floor; n <= 0 keeps them all.
         for a1, a2 in pairs[:n] if n > 0 else pairs:
-            for yv in y:
-                quadruples.add((yv, yv * el, yv * a1, yv * a2))
+            if p is None:
+                quadruples.update((v, v * el, v * a1, v * a2) for v in ys)
+            else:
+                quadruples.update((v, v * el % p, v * a1 % p, v * a2 % p) for v in ys)
     floor = n * len(y) * len(r)
     return QuadrupleBound(
         energy=energy,
@@ -312,7 +343,8 @@ class RatioSets:
 class _RatioWalk(NamedTuple):
     """One walk over first^2 x second: the number of tuples giving each value
     (f1 + s)/(f2 + s), the first generating tuple of each value, and the
-    tuples dropped for a vanishing denominator f2 + s."""
+    tuples dropped for a vanishing denominator f2 + s.  Both maps run over
+    the values in canonical order."""
 
     counts: dict
     witness: dict
@@ -339,10 +371,11 @@ def _ratio_walk(first: ArithSet, second: ArithSet) -> _RatioWalk:
     f_el, s_el = first.elements, second.elements
     counts = {}
     witness = {}
-    for key, count in keys.items():
+    # In canonical order, so that the ratio sets need no sort of their own.
+    for key in _Keys(p, None).sort(keys):
         i, pos = at[key]
         val = _element(key, p)
-        counts[val] = count
+        counts[val] = keys[key]
         witness[val] = (f_el[i], f_el[pos // m], s_el[pos % m])
     return _RatioWalk(counts, witness, skipped)
 
@@ -366,8 +399,8 @@ def build_ratio_sets(b: ArithSet, c: ArithSet) -> RatioSets:
     # With C = B the two walks coincide tuple for tuple.
     y = x if c == b else _directed_ratios(c, b)
     return RatioSets(
-        x_set=ArithSet(x.witness.keys(), p=b.p),
-        y_set=ArithSet(y.witness.keys(), p=b.p),
+        x_set=_ordered_set(x.witness, b.p),
+        y_set=_ordered_set(y.witness, b.p),
         x_witness=x.witness,
         y_witness=y.witness,
         skipped_x=x.skipped,

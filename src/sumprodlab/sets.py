@@ -29,7 +29,8 @@ from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Iterator
+from math import gcd
+from typing import Iterable, Iterator, NamedTuple
 
 from .field import (
     CeilingExceeded,
@@ -59,7 +60,10 @@ class ArithSet:
     are the ``Fraction`` elements themselves.  In prime-field mode they are
     plain ints in ``[0, p)``, and the ``Residue`` tuple :attr:`elements` is
     built only when a caller asks for it.  The kernels of the package read
-    ``_values`` and ``_index``; only this module builds them.  ``_derived``
+    ``_values`` and ``_index``; only this module builds them.  No kernel
+    computes on the ``Fraction`` values pair by pair: it scales them once
+    to ints over a common denominator (:func:`_scaled_values`), and a
+    ``Fraction`` is built again only for each distinct output.  ``_derived``
     keeps what is built on demand: A*A and A/A, the small derived sets of
     the paper's instances, and the ``Residue`` tuple.  It takes no part in
     ``==`` or ``hash``.
@@ -82,20 +86,25 @@ class ArithSet:
         self._store(values, p)
 
     @classmethod
-    def _from_values(cls, values: Iterable, p: int | None) -> "ArithSet":
+    def _from_values(cls, values: Iterable, p: int | None, ordered: bool = False) -> "ArithSet":
         """A set from distinct canonical values, as the kernels produce them:
         ints already reduced into ``[0, p)``, or ``Fraction`` objects.  No
-        coercion and no primality check."""
+        coercion and no primality check.  With ``ordered`` the values come
+        in canonical order already and are not sorted again."""
         s = object.__new__(cls)
-        s._store(values, p)
+        s._store(values, p, ordered)
         return s
 
-    def _store(self, values: Iterable, p: int | None) -> None:
+    def _store(self, values: Iterable, p: int | None, ordered: bool = False) -> None:
         # Built from a set, the index reuses its hashes (a Fraction's hash
         # is not cached).
-        index = frozenset(values)
-        ordered = tuple(sorted(index))
-        object.__setattr__(self, "_values", ordered)
+        if ordered:
+            values = tuple(values)
+            index = frozenset(values)
+        else:
+            index = frozenset(values)
+            values = tuple(sorted(index))
+        object.__setattr__(self, "_values", values)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_derived", None)
@@ -183,12 +192,18 @@ def _canonical(x, p: int | None):
     return coerce_element(x, p).value
 
 
-#: Row builders of the pair kernel: (u, row of t, p) -> raw values u op v.
+def _quotient_row(u: int, vs: list, p) -> list:
+    """u / v over Q for each prepared divisor (sign of v, |v|): the reduced
+    pair (num, den) with den > 0.  A common denominator of u and v cancels."""
+    return [(sign * u // (g := gcd(u, d)), d // g) for sign, d in vs]
+
+
+#: Row builders of the pair kernel: (u, row of t, p) -> keys of u op v.
 _ROWS = {
     "plus": lambda u, vs, p: [u + v for v in vs],
     "minus": lambda u, vs, p: [u - v for v in vs],
     "times": lambda u, vs, p: [u * v for v in vs],
-    "divide": lambda u, vs, p: [u / v for v in vs],
+    "divide": _quotient_row,
 }
 _ROWS_MOD = {
     "plus": lambda u, vs, p: [(u + v) % p for v in vs],
@@ -202,53 +217,114 @@ _COMMUTATIVE = ("plus", "times")
 _MEMOIZED = ("times", "divide")
 
 
-def _pair_rows(s: ArithSet, t: ArithSet, op: str, upper: bool = False) -> Iterator[list]:
-    """The pair kernel: for each u of s in canonical order, the list of raw
-    values ``u op v`` over the v of t in canonical order.  With ``upper``
-    (for t = s) a row holds only the v at or after u, the diagonal first.
+class _Keys(NamedTuple):
+    """How the pair kernel keys the outputs of one operation, and the way
+    back to canonical values.
+
+    Over F_p (``p`` set) a key is the residue's int in ``[0, p)``.  Over Q
+    the operands are ints over a common denominator D: a sum or a
+    difference is keyed by its value times ``scale`` = D, a product by its
+    value times ``scale`` = D², and a quotient (``scale`` ``None``) by its
+    reduced int pair (num, den) with den > 0.
+    """
+
+    p: int | None
+    scale: int | None
+
+    def key(self, v):
+        """The key of the canonical value ``v``, or ``None`` for a rational
+        off the lattice (1/scale)Z, which no pair can give."""
+        if self.p is not None:
+            return v
+        if self.scale is None:
+            return (v.numerator, v.denominator)
+        q, r = divmod(self.scale, v.denominator)
+        return None if r else v.numerator * q
+
+    def value(self, key) -> Fraction:
+        """The ``Fraction`` of a rational key."""
+        if self.scale is None:
+            return Fraction(*key)
+        return Fraction(key, self.scale)
+
+    def sort(self, keys) -> list:
+        """Distinct keys in the canonical order of their values, sorted on
+        ints.  Two distinct fractions with denominators at most n differ by
+        at least 1/n², so with M = n² the int num·M // den is strictly
+        increasing in the value of the pair (num, den)."""
+        if self.p is None and self.scale is None:
+            m = max((den for _, den in keys), default=1) ** 2
+            return sorted(keys, key=lambda k: k[0] * m // k[1])
+        return sorted(keys)
+
+    def ordered(self, keys) -> tuple:
+        """The canonical values of distinct keys, in canonical order."""
+        if self.p is not None:
+            return tuple(sorted(keys))
+        return tuple(map(self.value, self.sort(keys)))
+
+
+def _pair_rows(
+    s: ArithSet, t: ArithSet, op: str, upper: bool = False
+) -> tuple[Iterator[list], _Keys]:
+    """The pair kernel: for each u of s in canonical order, the list of keys
+    of ``u op v`` over the v of t in canonical order, and the :class:`_Keys`
+    that reads them.  With ``upper`` (for t = s) a row holds only the v at
+    or after u, the diagonal first.
 
     ``op`` is one of ``plus``, ``minus``, ``times``, ``divide``; ``divide``
-    skips zero divisors.  In F_p each divisor is inverted once and the rows
-    multiply by the inverses; over Q the ``Fraction`` operations run as
-    they are.
+    skips zero divisors.  Every pair costs plain-int operations only.  In
+    F_p each divisor is inverted once and the rows multiply by the
+    inverses.  Over Q s and t are scaled once to ints over their common
+    denominator, and a quotient costs one gcd.
     """
-    xs, ys, p = s._values, t._values, s.p
-    if op == "divide":
-        ys = [v for v in ys if v]
-        if p is not None:
-            ys = [pow(v, -1, p) for v in ys]
+    if op not in _ROWS:
+        raise ValueError(f"unknown operation {op!r}")
+    p = s.p
+    if p is None:
+        scaled, d = _scaled_values([s] if t is s else [s, t])
+        xs, ys = scaled[0], scaled[-1]  # one list when t is s
+        keys = _Keys(None, None if op == "divide" else d * d if op == "times" else d)
+        if op == "divide":
+            ys = [(1, v) if v > 0 else (-1, -v) for v in ys if v]
+        row = _ROWS[op]
+    else:
+        xs, ys = s._values, t._values
+        keys = _Keys(p, None)
+        if op == "divide":
+            ys = [pow(v, -1, p) for v in ys if v]
             op = "times"
-    try:
-        row = _ROWS[op] if p is None else _ROWS_MOD[op]
-    except KeyError:
-        raise ValueError(f"unknown operation {op!r}") from None
+        row = _ROWS_MOD[op]
     if upper:
-        return (row(u, ys[i:], p) for i, u in enumerate(xs))
-    return (row(u, ys, p) for u in xs)
+        return (row(u, ys[i:], p) for i, u in enumerate(xs)), keys
+    return (row(u, ys, p) for u in xs), keys
 
 
 class PairCounts(Mapping):
     """The representation function r(x) = #{(u, v) : u op v = x} as a
     read-only mapping from field elements to counts.
 
-    The counts are kept on the raw values of the pair kernel.  A lookup
-    coerces its key as :meth:`ArithSet.__contains__` does, ``values()``
-    reads the stored counts, and only iterating over the keys builds field
-    elements.
+    The counts are kept on the int keys of the pair kernel (:class:`_Keys`).
+    A lookup encodes its key: an int, a ``Fraction`` or (over F_p) a
+    ``Residue`` of the same modulus.  A rational off the kernel's lattice,
+    an element of another field, a ``str`` or any other object reads as
+    missing.  ``values()`` reads the stored counts, and only iterating over
+    the keys builds field elements, one per distinct value.
     """
 
-    __slots__ = ("_counts", "p")
+    __slots__ = ("_counts", "_keys")
 
     def __init__(self, s: ArithSet, t: ArithSet, op: str):
-        self.p = s.p
         if op not in _COMMUTATIVE or s != t:
-            self._counts = Counter(chain.from_iterable(_pair_rows(s, t, op)))
+            rows, self._keys = _pair_rows(s, t, op)
+            self._counts = Counter(chain.from_iterable(rows))
             return
         # Each pair u != v of the upper rows stands for (u, v) and (v, u);
         # the diagonal value opens every row and counts once.
+        rows, self._keys = _pair_rows(s, s, op, upper=True)
         upper = Counter()
         diagonal = []
-        for row in _pair_rows(s, s, op, upper=True):
+        for row in rows:
             upper.update(row)
             diagonal.append(row[0])
         counts = {x: 2 * n for x, n in upper.items()}
@@ -256,19 +332,26 @@ class PairCounts(Mapping):
             counts[x] -= 1
         self._counts = counts
 
+    @property
+    def p(self) -> int | None:
+        return self._keys.p
+
     def __getitem__(self, x) -> int:
-        try:
-            got = self._counts.get(_canonical(x, self.p))
-        except (ModeMismatchError, TypeError, ValueError):
-            got = None
+        got = None
+        if not isinstance(x, str):
+            try:
+                got = self._counts.get(self._keys.key(_canonical(x, self.p)))
+            except (ModeMismatchError, TypeError, ValueError):
+                pass
         if got is None:
             raise KeyError(x)
         return got
 
     def __iter__(self) -> Iterator[FieldElement]:
-        if self.p is None:
-            return iter(self._counts)
-        return (Residue(v, self.p) for v in self._counts)
+        p = self.p
+        if p is None:
+            return map(self._keys.value, self._counts)
+        return (Residue(v, p) for v in self._counts)
 
     def __len__(self) -> int:
         return len(self._counts)
@@ -291,16 +374,24 @@ def _scaled_values(sets: list[ArithSet]) -> tuple[list[list[int]], int]:
     return [[x.numerator * (scale // x.denominator) for x in s._values] for s in sets], scale
 
 
-def _values_for(sets: list[ArithSet]) -> tuple[list[list[int]], int | None]:
-    """Plain-int coordinates of same-mode sets and their modulus: the values
-    scaled to a common denominator over Q (``None``), the stored residues
+def _int_values(sets: list[ArithSet]) -> tuple[list[list[int]], int, int | None]:
+    """Plain-int coordinates of same-mode sets, the int standing for 1 among
+    them, and their modulus: the values scaled to a common denominator d
+    over Q (1 stands as d, the modulus is ``None``), the stored residues
     over F_p.  Scaling by a positive int keeps canonical order and every
     quotient of differences or sums."""
     require_same_mode(*sets)
     p = sets[0].p
     if p is None:
-        return _scaled_values(sets)[0], None
-    return [list(s._values) for s in sets], p
+        values, d = _scaled_values(sets)
+        return values, d, None
+    return [list(s._values) for s in sets], 1, p
+
+
+def _values_for(sets: list[ArithSet]) -> tuple[list[list[int]], int | None]:
+    """:func:`_int_values` without the unit."""
+    values, _, p = _int_values(sets)
+    return values, p
 
 
 def _require_nonempty(*sets: ArithSet) -> None:
@@ -327,8 +418,8 @@ def _pairwise(s, t, op, ceiling=None, what="pairwise set operation"):
 
 
 def _materialize(s, t, op, same):
-    values = set(chain.from_iterable(_pair_rows(s, t, op, same and op in _COMMUTATIVE)))
-    return ArithSet._from_values(values, s.p)
+    rows, keys = _pair_rows(s, t, op, same and op in _COMMUTATIVE)
+    return ArithSet._from_values(keys.ordered(set(chain.from_iterable(rows))), s.p, ordered=True)
 
 
 def _single(s: ArithSet, x) -> ArithSet:

@@ -195,7 +195,11 @@ def doubling_energy_check(
 
     The bound is evaluated at high precision for the report; a verdict is
     only assigned when the caller supplies an explicit ratio threshold.
+    The bound is proved over the reals, so a threshold on a prime-field set
+    raises :class:`OutsideDomain`; without one the record stays ``info``.
     """
+    if ratio_threshold is not None and a.p is not None:
+        raise OutsideDomain("the doubling-energy bound is proved over the reals, not F_p")
     if len(a) < 2:
         return CheckRecord(
             claim="doubling_energy",

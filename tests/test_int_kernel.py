@@ -16,6 +16,7 @@ from sumprodlab.energy import (
     energy_quadruples,
     multiplicative_energy,
     representation_function,
+    shift_intersection,
 )
 from sumprodlab.families import generate, parse_family
 from sumprodlab.field import CeilingExceeded, Residue
@@ -29,6 +30,8 @@ from sumprodlab.incidence import (
 from sumprodlab.popdiff import build_ratio_sets
 from sumprodlab.sets import (
     ArithSet,
+    _Keys,
+    aa_over_a,
     difference_set,
     dilate,
     negate,
@@ -400,6 +403,137 @@ def test_popular_ratio_multiplicity_matches_elementwise(one, keep, tau):
     assert cert.multiplicity == want
     assert cert.triples_total == sum(want.values())
     assert cert.ratios == ArithSet(want, p=b.p)
+
+
+# -- the rational pair kernel on scaled ints ---------------------------------------
+
+
+def _rationals(max_denominator):
+    return st.one_of(
+        st.integers(-20, 20),
+        st.fractions(min_value=-12, max_value=12, max_denominator=max_denominator),
+    )
+
+
+def _rational_set(max_denominator=12, max_size=7):
+    return st.sets(_rationals(max_denominator), min_size=1, max_size=max_size).map(ArithSet)
+
+
+#: (s, t) over Q with their own denominators, or s = t.
+RATIONAL_PAIRS = st.one_of(
+    st.tuples(_rational_set(12), _rational_set(7)),
+    _rational_set(12).map(lambda s: (s, s)),
+)
+
+
+#: D = 6: every sum lies in (1/6)Z and every product in (1/36)Z, and 1/7 in neither.
+SIXTHS = (ArithSet([Fraction(1, 2), Fraction(1, 3)]), ArithSet([1, Fraction(1, 6)]))
+
+
+@given(RATIONAL_PAIRS, st.sampled_from(sorted(OPS)), _rationals(40))
+@settings(max_examples=200, deadline=None)
+@example(SIXTHS, "plus", Fraction(1, 7))
+@example(SIXTHS, "times", Fraction(1, 7))
+def test_rational_representation_function_matches_a_fraction_counter(pair, op, probe):
+    s, t = pair
+    fn = OPS[op][1]
+    want = Counter(fn(u, v) for u in s.elements for v in t.elements if op != "divide" or v)
+    if not want:
+        return
+    counts = representation_function(s, t, op)
+    assert list(counts.items()) == list(want.items())
+    assert list(counts.values()) == list(want.values())
+    # Lookups: on or off the kernel's lattice, 0, and keys of no rational.
+    for x in (probe, 0, Fraction(0), int(probe)):
+        assert counts.get(x) == want.get(Fraction(x))
+        assert (x in counts) == (Fraction(x) in want)
+    for x in want:
+        assert counts[x] == want[x]
+        assert str(x) not in counts
+        assert counts.get(str(x)) is None
+        if x.denominator == 1:
+            assert Residue(x.numerator, 7) not in counts
+
+
+def test_rational_pair_counts_miss_off_the_lattice():
+    s, t = SIXTHS
+    for op in ("plus", "minus", "times", "divide"):
+        counts = representation_function(s, t, op)
+        assert Fraction(1, 7) not in counts
+        with pytest.raises(KeyError):
+            counts[Fraction(1, 7)]
+        assert counts.get(Residue(1, 7)) is None
+        assert counts.get("1/2") is None
+        assert counts.get(1.5) is None
+    assert representation_function(s, t, "plus")[Fraction(2, 3)] == 1
+    assert 0 not in representation_function(s, t, "minus")
+    assert representation_function(s, s, "minus")[0] == 2
+    assert representation_function(s, t, "divide")[Fraction(1, 2)] == 1
+    assert representation_function(s, t, "times")[Fraction(1, 18)] == 1
+
+
+@given(RATIONAL_PAIRS)
+@settings(max_examples=150, deadline=None)
+def test_rational_set_operations_match_fraction_sets(pair):
+    s, t = pair
+    for build, fn in (
+        (sumset, lambda u, v: u + v),
+        (difference_set, lambda u, v: u - v),
+        (product_set, lambda u, v: u * v),
+    ):
+        want = sorted({fn(u, v) for u in s.elements for v in t.elements})
+        assert list(build(s, t)) == want
+    if not t.contains_zero():
+        want = sorted({u / v for u in s.elements for v in t.elements})
+        assert list(ratio_set(s, t)) == want
+    if not s.contains_zero():
+        products = {u * v for u in s.elements for v in s.elements}
+        want = sorted({x / v for x in products for v in s.elements})
+        got = aa_over_a(s)
+        assert list(got) == want
+        assert got == ArithSet(want)
+
+
+@given(
+    _rational_set(6, max_size=6),
+    _rational_set(20, max_size=6),
+    st.lists(st.booleans(), min_size=36, max_size=36),
+)
+@settings(max_examples=150, deadline=None)
+def test_containment_adjacency_when_denominators_differ(basis, extra, keep):
+    # A holds some sums of B (on B's lattice) and values with other
+    # denominators, most of them off that lattice.
+    sums = [b1 + b2 for b1 in basis.elements for b2 in basis.elements]
+    target = ArithSet([x for x, k in zip(sums, keep) if k] + list(extra.elements))
+    graph = build_containment_graph(basis, target)
+    elems = basis.elements
+    for i, b1 in enumerate(elems):
+        for j, b2 in enumerate(elems):
+            assert bool(graph.adjacency[i] >> j & 1) == ((b1 + b2) in target)
+    assert graph.edges == sum(1 for x in sums if x in target)
+
+
+@given(st.sets(st.tuples(st.integers(-10**6, 10**6), st.integers(1, 10**4)), max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_quotient_sort_key_orders_like_fractions(pairs):
+    # Distinct reduced (num, den) keys, as the quotient kernel makes them.
+    keys = {(f.numerator, f.denominator) for f in map(lambda k: Fraction(*k), pairs)}
+    ordered = _Keys(None, None).sort(keys)
+    assert [Fraction(*k) for k in ordered] == sorted(Fraction(*k) for k in keys)
+    assert _Keys(None, None).ordered(keys) == tuple(sorted(Fraction(*k) for k in keys))
+
+
+@given(_rational_set(12, max_size=8), _rationals(40).filter(bool))
+@settings(max_examples=200, deadline=None)
+def test_rational_shift_intersection_matches_the_translate_route(a, alpha):
+    want = len(a._index & translate(a, alpha)._index)
+    assert shift_intersection(a, alpha) == want
+    # Every difference of A is a shift with a nonzero overlap.
+    for x in a.elements:
+        for y in a.elements:
+            if x != y:
+                want = len(a._index & translate(a, x - y)._index)
+                assert shift_intersection(a, x - y) == want >= 1
 
 
 # -- ceilings before the work -----------------------------------------------------

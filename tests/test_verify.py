@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 from sumprodlab import incidence, popdiff, sets, verify
+from sumprodlab.field import OutsideDomain
 from sumprodlab.sets import ArithSet
 from sumprodlab.families import FamilySpec, generate, parse_family
 from sumprodlab.report import (
@@ -105,6 +106,15 @@ def test_doubling_energy_check():
     assert rec.verdict == "info"
     gated = doubling_energy_check(gp(16), ratio_threshold=100.0)
     assert gated.verdict == "pass"
+
+
+def test_doubling_energy_threshold_is_outside_the_prime_field_domain():
+    # The bound is proved over the reals: no pass or fail on F_p.
+    a = generate(parse_family("subgroup:p=31,d=6"))
+    with pytest.raises(OutsideDomain):
+        doubling_energy_check(a, ratio_threshold=1.0)
+    assert doubling_energy_check(a).verdict == "info"
+    assert run_claim("doubling_energy", a).verdict == "info"
 
 
 def test_basis_chain_micro():
@@ -357,6 +367,20 @@ def test_run_suite_and_writers(tmp_path):
     payload = json.loads(json_path.read_text())
     assert payload["summary"]["rows"] == 4
     assert exit_code(rows) == 0
+
+
+def test_run_suite_judges_slopes_against_thresholds_only_over_q():
+    # The claimed exponents hold over the reals; an F_p family gets its
+    # slope and no verdict on it.
+    specs = [parse_family(f"subgroup:p=31,d={d}") for d in (5, 6, 10)]
+    specs += [parse_family(f"gp:q=2,n={n}") for n in (6, 8)]
+    _rows, summary = run_suite(specs, ["ratio_energy"])
+    over_fp = summary["slopes"]["ratio_energy"]["subgroup"]
+    assert over_fp["slope"] is not None
+    assert "threshold" not in over_fp and "within_threshold" not in over_fp
+    over_q = summary["slopes"]["ratio_energy"]["gp"]
+    assert over_q["threshold"] == verify.SLOPE_TARGETS["ratio_energy"]
+    assert over_q["within_threshold"] == (over_q["slope"] <= over_q["threshold"])
 
 
 def test_run_suite_runs_instance_free_claims_once(monkeypatch):
