@@ -1,20 +1,26 @@
 """Exact collinearity counting over Cartesian-product grids.
 
 T(X, Y, Z) is the number of ordered triples of pairwise-distinct
-collinear points (p, q, r) with p in X x X, q in Y x Y, r in Z x Z.
-The production path takes, for each point p of the first grid, a
-histogram of the directions from p to the points of the other two grids
-and counts the pairs (q, r) sharing a direction; the brute-force path
-enumerates point triples and tests the 3x3 determinant, with no
-directions or hashing.  When X = Y = Z it tests each unordered triple of
-distinct points once and counts it six times; otherwise it tests every
-ordered triple.  Both are exact and are kept as independent routes for
-cross-checking.
+collinear points (p, q, r) with p in X x X, q in Y x Y, r in Z x Z; it
+is symmetric in the three grids.  The production path takes, for each
+point of one grid, histograms of the directions from it to the points of
+the other grids and counts the pairs of points sharing a direction.
+When two of the grids are equal it walks the third and reads one
+histogram of the repeated grid per point; when all three are equal it
+reads each pair of points once.  The brute-force path enumerates point
+triples and tests the 3x3 determinant, with no directions or hashing.
+When X = Y = Z it tests each unordered triple of distinct points once
+and counts it six times; otherwise it tests every ordered triple.  Both
+are exact and are kept as independent routes for cross-checking.
 
 Rational coordinates are scaled by a common denominator so that the hot
 loops run on plain integers; collinearity and richness do not change under
-that scaling.  Prime-field grids run on the ints modulo p that the sets
-store, with each coordinate difference inverted once per call.
+that scaling.  A rational direction dy/dx (dx > 0) is keyed by the int
+dy * K // dx with K = span², span being the largest minus the smallest
+coordinate of the call: distinct slopes of the grids differ by at least
+1/span², so distinct directions get distinct keys.  Prime-field grids run
+on the ints modulo p that the sets store, with each coordinate difference
+inverted once per call and a direction keyed by its slope mod p.
 
 The dyadic table counts lines with the same direction histograms: from
 each point of the union of two grids it reads, per direction, how many
@@ -35,7 +41,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
 
 from .field import CeilingExceeded
 from .sets import ArithSet, _values_for, require_same_mode
@@ -62,10 +67,19 @@ def _union_size(value_lists: list[list[int]]) -> int:
     return total
 
 
-def _inverses(value_lists: list[list[int]], p: int) -> dict[int, int]:
-    """pow(d, -1, p) for every nonzero difference d of the coordinate values,
-    each computed once."""
+def _slope_table(value_lists: list[list[int]], p: int | None):
+    """What :func:`_directions` keys slopes with, built once per call.
+
+    Over F_p: pow(d, -1, p) for every nonzero difference d of the
+    coordinate values, each computed once.  Over Q: the int K = span², with
+    span the largest minus the smallest coordinate value.  A slope dy/dx of
+    two grid points has |dx| <= span, so two distinct slopes differ by at
+    least 1/span², and dy * K // dx (dx > 0) tells them apart.
+    """
     vals = set().union(*value_lists)
+    if p is None:
+        span = max(vals) - min(vals)
+        return span * span
     diffs = {(u - v) % p for u in vals for v in vals}
     diffs.discard(0)
     return {d: pow(d, -1, p) for d in diffs}
@@ -90,30 +104,32 @@ def _guard_pairs(m: int, ceiling: int | None) -> None:
 
 
 def _directions(
-    x1: int, y1: int, vals: list[int], p: int | None, inverse: dict | None, after: bool
+    x1: int, y1: int, vals: list[int], p: int | None, slopes, after: bool
 ) -> Counter:
     """Histogram of the directions from (x1, y1) to the other points of the
     grid vals x vals, or, with ``after``, to those after it in lexicographic
-    order.  Over Q (scaled to integers) a direction is the lowest-terms
-    (dy, dx) with dx > 0 and the vertical one is (1, 0); over F_p it is the
-    slope dy * inv(dx) mod p and the vertical one is p."""
+    order, keyed through the :func:`_slope_table` ``slopes`` of the call.
+    Over Q (scaled to integers) a direction dy/dx with dx > 0 is keyed by
+    the int dy * K // dx; over F_p by the slope dy * inv(dx) mod p.  The
+    vertical direction is keyed by ``None`` in both fields."""
     dys = [y - y1 for y in vals]
     cols = [x2 - x1 for x2 in vals if (x2 > x1 if after else x2 != x1)]
     if p is None:
-        neg = [-d for d in dys]
+        scaled = [d * slopes for d in dys]
+        neg = [-d for d in scaled]
         keys = []
         for dx in cols:
-            ds = dys if dx > 0 else neg
-            dx = abs(dx)
-            keys += [(d // (g := gcd(dx, d)), dx // g) for d in ds]
+            if dx > 0:
+                keys += [d // dx for d in scaled]
+            else:  # the direction (-dy, -dx)
+                dx = -dx
+                keys += [d // dx for d in neg]
         hist = Counter(keys)
-        vertical = (1, 0)
     else:
-        ws = [inverse[dx % p] for dx in cols]
+        ws = [slopes[dx % p] for dx in cols]
         hist = Counter([d * w % p for w in ws for d in dys])
-        vertical = p
     if x1 in vals:  # the column of (x1, y1) itself
-        hist[vertical] = sum(1 for d in dys if (d > 0 if after else d))
+        hist[None] = sum(1 for d in dys if (d > 0 if after else d))
     return hist
 
 
@@ -123,13 +139,18 @@ def collinear_triples(
     z: ArithSet,
     pair_ceiling: int | None = DEFAULT_PAIR_CEILING,
 ) -> int:
-    """T(X, Y, Z) by counting directions from each point of the first grid.
+    """T(X, Y, Z) by counting directions from each point of one grid.
 
     From a point P of X x X, the pairs (Q, R) of Y x Y and Z x Z that are
     collinear with P and distinct from it share a direction from P.  So T
     sums g*h over every P and direction, where g and h count the points of
     Y x Y and Z x Z in that direction, less the pairs with Q = R: the
     points of (Y x Y) ∩ (Z x Z) other than P.
+
+    T is symmetric in its grids.  When exactly two of them are equal, the
+    walk runs over the points P of the third, and the c points of the
+    repeated grid in one direction from P give c(c-1) ordered pairs (Q, R)
+    with Q != R: one histogram per point, and no join of two.
 
     When X = Y = Z, a line through k points holds k(k-1)(k-2) triples, and
     its i-th point in lexicographic order has k - i of them after it; the
@@ -140,21 +161,24 @@ def collinear_triples(
         raise ValueError("all three sets must be nonempty")
     values, p = _values_for([x, y, z])
     _guard_pairs(_union_size(values), pair_ceiling)
-    inverse = None if p is None else _inverses(values, p)
+    slopes = _slope_table(values, p)
     v0, v1, v2 = values
     total = 0
-    if v0 == v1 == v2:
-        for x1 in v0:
-            for y1 in v0:
-                hist = _directions(x1, y1, v0, p, inverse, True)
+    if v0 == v1 or v1 == v2 or v0 == v2:
+        # T is symmetric in its grids: walk the one that is not repeated,
+        # or any one when all three are equal.
+        odd, pair = (v2, v0) if v0 == v1 else (v0, v1) if v1 == v2 else (v1, v0)
+        after = odd == pair
+        for x1 in odd:
+            for y1 in odd:
+                hist = _directions(x1, y1, pair, p, slopes, after)
                 total += sum(c * (c - 1) for c in hist.values())
-        return 3 * total
+        return 3 * total if after else total
     common = set(v1) & set(v2)
-    same = v1 == v2
     for x1 in v0:
         for y1 in v0:
-            g = _directions(x1, y1, v1, p, inverse, False)
-            h = g if same else _directions(x1, y1, v2, p, inverse, False)
+            g = _directions(x1, y1, v1, p, slopes, False)
+            h = _directions(x1, y1, v2, p, slopes, False)
             # Only shared directions contribute; a miss in a Counter costs
             # a Python-level __missing__ call.
             total += sum(g[d] * h[d] for d in g.keys() & h.keys())
@@ -304,7 +328,7 @@ def dyadic_table(
         raise ValueError("at least one of the sets needs two elements")
     values, p = _values_for([c, b])
     _guard_pairs(_union_size(values), pair_ceiling)
-    inverse = None if p is None else _inverses(values, p)
+    slopes = _slope_table(values, p)
     first, second = values
     points, masks = _union_points(values)
     if first == second:
@@ -312,16 +336,16 @@ def dyadic_table(
         # points is a line of richness n + 1 in each.
         sizes: Counter = Counter()
         for x1, y1 in points:
-            sizes.update(_directions(x1, y1, first, p, inverse, False).values())
+            sizes.update(_directions(x1, y1, first, p, slopes, False).values())
         views = {(n + 1, n + 1, n + 1): k for n, k in sizes.items()}
     else:
         common = list(set(first) & set(second))
         views = Counter()
         for (x1, y1), mask in zip(points, masks):
             f0, s0, both0 = mask & 1, mask >> 1, int(mask == 3)
-            hf = _directions(x1, y1, first, p, inverse, False)
-            hs = _directions(x1, y1, second, p, inverse, False)
-            hboth = _directions(x1, y1, common, p, inverse, False)
+            hf = _directions(x1, y1, first, p, slopes, False)
+            hs = _directions(x1, y1, second, p, slopes, False)
+            hboth = _directions(x1, y1, common, p, slopes, False)
             for d, n in hf.items():
                 views[(n + f0, hs[d] + s0, hboth[d] + both0)] += 1
             for d, n in hs.items():

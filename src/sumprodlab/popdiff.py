@@ -27,12 +27,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import chain
 from math import gcd
 from typing import NamedTuple
 
-from .field import CeilingExceeded, FieldElement, OutsideDomain, Residue, coerce_element
+from .field import CeilingExceeded, OutsideDomain, coerce_element
 from .sets import (
     DEFAULT_ELEMENT_CEILING,
     ArithSet,
@@ -109,11 +108,6 @@ def _quotients(x: int, divisors: list[tuple], p: int | None) -> list:
     return [(x + w) * inv % p if inv else None for w, inv in divisors]
 
 
-def _element(key, p: int | None) -> FieldElement:
-    """The field element of a :func:`_quotients` key."""
-    return Fraction(*key) if p is None else Residue(key, p)
-
-
 def _ordered_set(elements, p: int | None) -> ArithSet:
     """The set of distinct field elements given in canonical order."""
     values = elements if p is None else (e.value for e in elements)
@@ -159,7 +153,8 @@ def build_popular_ratios(
         shared = [row[k] for k in range(n) if mask >> k & 1]
         keys.update(_quotients(vals[j], shared, p))
         triples_total += len(shared)
-    multiplicity = {_element(key, p): keys[key] for key in _Keys(p, None).sort(keys)}
+    quotient = _Keys(p, None)
+    multiplicity = {quotient.value(key): keys[key] for key in quotient.sort(keys)}
 
     # The collision count runs over the B^3 ratio values (b2 + b)/(b1 + b),
     # counted by key: the divisors above are all the b1 + b.
@@ -372,9 +367,10 @@ def _ratio_walk(first: ArithSet, second: ArithSet) -> _RatioWalk:
     counts = {}
     witness = {}
     # In canonical order, so that the ratio sets need no sort of their own.
-    for key in _Keys(p, None).sort(keys):
+    quotient = _Keys(p, None)
+    for key in quotient.sort(keys):
         i, pos = at[key]
-        val = _element(key, p)
+        val = quotient.value(key)
         counts[val] = keys[key]
         witness[val] = (f_el[i], f_el[pos // m], s_el[pos % m])
     return _RatioWalk(counts, witness, skipped)

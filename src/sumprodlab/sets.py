@@ -55,11 +55,12 @@ class ArithSet:
     or by canonical residue (prime-field mode), so every downstream count
     is deterministic.
 
-    Storage: ``_values`` holds the canonical values in sorted order and
-    ``_index`` the same values as a frozenset.  In rational mode the values
-    are the ``Fraction`` elements themselves.  In prime-field mode they are
-    plain ints in ``[0, p)``, and the ``Residue`` tuple :attr:`elements` is
-    built only when a caller asks for it.  The kernels of the package read
+    Storage: ``_values`` holds the canonical values in sorted order, and
+    ``_index`` the same values as a frozenset, built on first read and kept
+    in ``_lookup``.  In rational mode the values are the ``Fraction``
+    elements themselves.  In prime-field mode they are plain ints in
+    ``[0, p)``, and the ``Residue`` tuple :attr:`elements` is built only
+    when a caller asks for it.  The kernels of the package read
     ``_values`` and ``_index``; only this module builds them.  No kernel
     computes on the ``Fraction`` values pair by pair: it scales them once
     to ints over a common denominator (:func:`_scaled_values`), and a
@@ -69,7 +70,7 @@ class ArithSet:
     ``==`` or ``hash``.
     """
 
-    __slots__ = ("_values", "p", "_index", "_derived")
+    __slots__ = ("_values", "p", "_lookup", "_derived")
 
     def __init__(self, elements: Iterable = (), p: int | None = None):
         items = list(elements)
@@ -96,18 +97,21 @@ class ArithSet:
         return s
 
     def _store(self, values: Iterable, p: int | None, ordered: bool = False) -> None:
-        # Built from a set, the index reuses its hashes (a Fraction's hash
-        # is not cached).
-        if ordered:
-            values = tuple(values)
-            index = frozenset(values)
-        else:
-            index = frozenset(values)
-            values = tuple(sorted(index))
+        values = tuple(values) if ordered else tuple(sorted(values))
         object.__setattr__(self, "_values", values)
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_lookup", None)
         object.__setattr__(self, "_derived", None)
+
+    @property
+    def _index(self) -> frozenset:
+        """The values as a frozenset, built on first read: a counted-only
+        set never pays a ``Fraction.__hash__`` per element."""
+        index = self._lookup
+        if index is None:
+            index = frozenset(self._values)
+            object.__setattr__(self, "_lookup", index)
+        return index
 
     def __setattr__(self, *args):
         raise AttributeError("ArithSet is immutable")
@@ -241,8 +245,10 @@ class _Keys(NamedTuple):
         q, r = divmod(self.scale, v.denominator)
         return None if r else v.numerator * q
 
-    def value(self, key) -> Fraction:
-        """The ``Fraction`` of a rational key."""
+    def value(self, key) -> FieldElement:
+        """The field element of a key: a ``Residue`` or a ``Fraction``."""
+        if self.p is not None:
+            return Residue(key, self.p)
         if self.scale is None:
             return Fraction(*key)
         return Fraction(key, self.scale)
@@ -348,10 +354,7 @@ class PairCounts(Mapping):
         return got
 
     def __iter__(self) -> Iterator[FieldElement]:
-        p = self.p
-        if p is None:
-            return map(self._keys.value, self._counts)
-        return (Residue(v, p) for v in self._counts)
+        return map(self._keys.value, self._counts)
 
     def __len__(self) -> int:
         return len(self._counts)

@@ -137,6 +137,70 @@ def test_collinear_triples_match_brute_force(triple, sharing):
     assert collinear_triples(x, y, z) == collinear_triples_brute(x, y, z)
 
 
+def _distinct_pair_in(p, max_size):
+    return st.tuples(_set_in(p, max_size=max_size), _set_in(p, max_size=max_size)).filter(
+        lambda ab: ab[0] != ab[1]
+    )
+
+
+#: Two different sets over Q (fractions, negatives) or over F_2 ... F_31.
+DISTINCT_PAIRS = st.sampled_from([None, 2, 3, 7, 13, 31]).flatmap(
+    lambda p: _distinct_pair_in(p, max_size=4)
+)
+
+
+@given(DISTINCT_PAIRS)
+@example((ArithSet([0, Fraction(-1, 2), 3]), ArithSet([Fraction(1, 3), -2])))
+@example((ArithSet([0, 1, 2], p=2), ArithSet([1], p=2)))
+@settings(max_examples=120, deadline=None)
+def test_repeated_grid_triples_match_brute_force_in_every_position(pair):
+    a, b = pair
+    for grids in ((a, a, b), (a, b, a), (b, a, a)):
+        assert collinear_triples(*grids) == collinear_triples_brute(*grids)
+
+
+def _slope_histogram(vals, point):
+    """The directions from ``point`` to the other points of vals x vals,
+    grouped by their slope as a ``Fraction`` (``None`` for the vertical)."""
+    x1, y1 = point
+    return Counter(
+        None if x2 == x1 else Fraction(y2 - y1, x2 - x1)
+        for x2 in vals
+        for y2 in vals
+        if (x2, y2) != point
+    )
+
+
+def _int_key_histogram(vals, point):
+    slopes = incidence._slope_table([vals], None)
+    return incidence._directions(*point, vals, None, slopes, False)
+
+
+def test_slope_key_separates_the_closest_slopes():
+    # span = 1: the slopes 0 and 1 of {0, 1}^2 differ by exactly 1/span^2,
+    # and K = 1 keys them by the adjacent ints 0 and 1.
+    assert _int_key_histogram([0, 1], (0, 0)) == Counter({0: 1, 1: 1, None: 1})
+    # span = 10: 1/10 and 1/9 are the closest slopes a grid of span 10 can
+    # have, 1/90 apart; K = 100 keys them by the adjacent ints 10 and 11.
+    vals = [0, 1, 9, 10]
+    hist = _int_key_histogram(vals, (0, 0))
+    assert (hist[10], hist[11]) == (1, 1)
+    assert sorted(hist.values()) == sorted(_slope_histogram(vals, (0, 0)).values())
+
+
+def test_slope_key_merges_equal_slopes():
+    # From the origin, (2, 4), (3, 6), (-2, -4) and (-3, -6) lie on the line
+    # of slope 2, and (2, -3), (4, -6), (-2, 3) and (-4, 6) on the line of
+    # slope -3/2, with dx of either sign.
+    vals = [-6, -4, -3, -2, 0, 2, 3, 4, 6]
+    hist = _int_key_histogram(vals, (0, 0))
+    want = _slope_histogram(vals, (0, 0))
+    assert want[Fraction(2)] == 4 and want[Fraction(-3, 2)] == 4
+    assert len(hist) == len(want)
+    assert sorted(hist.values()) == sorted(want.values())
+    assert hist[None] == want[None] == len(vals) - 1
+
+
 def _ordered_collinear_triples(a):
     """Ordered triples of distinct points of A x A with a vanishing
     determinant, on the elements themselves."""
@@ -305,6 +369,17 @@ def test_residue_elements_are_built_on_demand():
     assert s._derived is None
     assert s.elements[0] == Residue(2, 31)
     assert s._derived["elements"] is s.elements
+
+
+def test_membership_index_is_built_on_first_read():
+    a = ArithSet([Fraction(1, 2), 3, Fraction(-5, 4)])
+    s = ratio_set(product_set(a, a), a)
+    assert s._lookup is None
+    assert s == ArithSet(s.elements) and hash(s) == hash(ArithSet(s.elements))
+    assert s._lookup is None
+    assert Fraction(-5, 4) in s and Fraction(7, 5) not in s
+    assert s._lookup == frozenset(s.elements)
+    assert s._index is s._lookup
 
 
 # -- popular-ratio walks on int keys ----------------------------------------------

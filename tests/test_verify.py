@@ -4,6 +4,7 @@ import json
 import random
 import time
 from fractions import Fraction
+from itertools import islice
 from types import SimpleNamespace
 
 import pytest
@@ -330,6 +331,13 @@ def test_identity_battery_matches_the_element_route(monkeypatch, seed):
     assert (rec.lhs, rec.rhs) == (passed, done) == (600, 600)
     assert len(made) == 1
     assert made[0].getstate() == rng.getstate()
+
+
+@pytest.mark.parametrize("seed", [1, 7, 2024])
+def test_identity_battery_draws_are_the_randint_draws(seed):
+    rng = random.Random(seed)
+    want = [(rng.randint(-50, 50), rng.randint(1, 20)) for _ in range(2000)]
+    assert list(islice(verify._draws(seed), 2000)) == want
 
 
 def test_run_claim_unknown_and_ceiling():
