@@ -26,6 +26,7 @@ from .sets import (
     ArithSet,
     PairCounts,
     _Keys,
+    _pair_rows,
     _scaled_values,
     aa_over_a,
     multiplicative_doubling,
@@ -127,16 +128,16 @@ def sigma(a: ArithSet, b: ArithSet, op: str = "plus") -> int:
 def is_sidon(s: ArithSet) -> bool:
     """True when all unordered pairwise sums (doubles included) are distinct.
 
-    Equivalent to E_+(S) = 2|S|^2 - |S|.
+    Equivalent to E_+(S) = 2|S|^2 - |S|.  Runs on the pair kernel's int
+    keys, one row of sums u + v (v at or after u) at a time; the sums of one
+    row are distinct, so only a repeat across rows can break the property.
     """
-    seen = set()
-    elems = s.elements
-    for i, a in enumerate(elems):
-        for b in elems[i:]:
-            v = a + b
-            if v in seen:
-                return False
-            seen.add(v)
+    rows, _ = _pair_rows(s, s, "plus", upper=True)
+    seen: set = set()
+    for row in rows:
+        if not seen.isdisjoint(row):
+            return False
+        seen.update(row)
     return True
 
 

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import math
 import statistics
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress
 
-from .energy import representation_function
 from .field import FieldElement, OutsideDomain
-from .sets import ArithSet, _pair_rows, require_same_mode
+from .sets import _ROWS, _ROWS_MOD, ArithSet, _pair_rows, _values_for, require_same_mode
 
 
 class ContainmentGraph:
@@ -244,20 +244,23 @@ def difference_solution_report(
 ) -> DifferenceSolutionReport:
     """For every ordered pair of ``subset``, count (a, a') in A^2 with
     b1 - b2 = a - a' -- that is, r_{A-A}(b1 - b2) -- and compare with the
-    pair's common neighborhood."""
-    for x in subset:
-        graph.basis.index_of(x)  # raises KeyError if subset is not within B
-    differences = representation_function(
-        graph.target, graph.target, "minus", ceiling=None
-    )
+    pair's common neighborhood.
+
+    r_{A-A} is counted and looked up on plain ints: A and the subset scaled
+    to their common denominator over Q, residues over F_p.  The rows keep
+    the field elements of the subset.
+    """
+    # index_of raises KeyError if subset is not within B.
+    indices = [graph.basis.index_of(x) for x in subset]
+    (a_vals, s_vals), p = _values_for([graph.target, subset])
+    minus = (_ROWS if p is None else _ROWS_MOD)["minus"]
+    differences = Counter(chain.from_iterable(minus(x, a_vals, p) for x in a_vals))
     rows = []
     injection_ok = True
     at_tau = 0
-    for b1 in subset:
-        i = graph.basis.index_of(b1)
-        for b2 in subset:
-            j = graph.basis.index_of(b2)
-            solutions = differences.get(b1 - b2, 0)
+    for b1, i, row in zip(subset, indices, (minus(x, s_vals, p) for x in s_vals)):
+        for b2, j, key in zip(subset, indices, row):
+            solutions = differences.get(key, 0)
             common = graph.common_neighbors(i, j)
             if solutions < common:
                 injection_ok = False

@@ -10,10 +10,16 @@ with A contained in B + B.  The paper-agnostic counting floor
 k(k+1)/2 >= |A| always applies; the search is branch and bound on the
 most-constrained uncovered element, so the result is provably optimal
 relative to U (a smaller basis outside U is never excluded).  The search
-runs on bitmasks over universe indices: B is a mask of universe elements,
-the covered part of A a mask of targets, and each universe element keeps
-a list of (partner, target) bits, so the targets a new element covers are
-read off its own row.
+runs on bitmasks over universe indices: B is a mask of universe elements
+and the covered part of A a mask of targets.  Its tables are built once
+per call: each universe element maps a target to the partner that
+completes it, and each target lists its pairs.  A node carries, for each
+partner of a chosen element, the targets that partner would complete, so
+the targets a pair adds are two lookups, and per target the number of
+pairs with a chosen end.  A child's leaf test and bound are made before
+it is entered, from a per-call memo of the bound; a cut child is still
+counted as a node, so the tree and its prune counts are those of a search
+that enters every child.
 
 Decomposition.  Decide whether A = B + C with |B|, |C| >= 2.  Translation
 freedom is removed by fixing min(B) = 0, which forces C to be a subset
@@ -23,6 +29,9 @@ when every new cross sum lands in A; one placement helper puts an element
 on either side and counts its sums with the other.  Exhausting the tree
 without a witness is a proof of irreducibility.  The search runs on the
 plain ints d·x, d the common denominator of A, and scales the witness back.
+Sums are kept by their index in A: a count per index and a mask of the
+unexplained ones, whose lowest bit is the next target.  The pairs of a
+target are listed when it is first the target.
 """
 
 from __future__ import annotations
@@ -117,63 +126,102 @@ def min_basis(
     (targets, u_vals), _ = _scaled_values([a, u])
     position = {x: i for i, x in enumerate(u_vals)}
 
-    # pairs_for[k]: (i, j, mask) with u_i + u_j = t_k and i <= j, by i.
-    # partners[i]: (bit j, bit k) for every u_i + u_j = t_k, so the targets
-    # a new element covers are read off its own row.
-    pairs_for: list = [[] for _ in targets]
-    partners = []
+    # hit[i] maps each k with t_k - u_i = u_j in the universe to j, and
+    # twice[i] is the bit of the target 2u_i, or 0.
+    hit = []
+    twice = []
     for i, x in enumerate(u_vals):
-        row = []
+        row = {}
+        double = 0
         for k, t in enumerate(targets):
             j = position.get(t - x)
             if j is not None:
-                row.append((1 << j, 1 << k))
-                if i <= j:
-                    pairs_for[k].append((i, j, 1 << i | 1 << j))
-        partners.append(row)
+                row[k] = j
+                if j == i:
+                    double = 1 << k
+        hit.append(row)
+        twice.append(double)
+
+    def make_pair(k: int, i: int, j: int) -> tuple:
+        """(i, j, mask, own) for u_i + u_j = t_k with i <= j; ``own`` holds
+        the targets the pair covers by itself: t_k, 2u_i and 2u_j."""
+        if i > j:
+            i, j = j, i
+        return i, j, 1 << i | 1 << j, 1 << k | twice[i] | twice[j]
+
+    # pairs_for[k]: the pairs of t_k, by i; self_pair[k]: the one with
+    # i = j, or None.
+    pairs_for: list = [[] for _ in targets]
+    self_pair: list = [None] * len(targets)
+    for i, row in enumerate(hit):
+        for k, j in row.items():
+            if i <= j:
+                pair = make_pair(k, i, j)
+                pairs_for[k].append(pair)
+                if i == j:
+                    self_pair[k] = pair
+    root_affordable = [0 if pair is None else 1 for pair in self_pair]
     for t, plist in zip(a._values, pairs_for):
         if not plist:
             raise InfeasibleWithinUniverse(
                 f"element {t} has no representation as a pair sum from the universe"
             )
 
-    full = (1 << len(targets)) - 1
-    floor = counting_lower_bound(len(targets))
+    n = len(targets)
+    full = (1 << n) - 1
+    floor = counting_lower_bound(n)
+    # Targets by their number of pairs, ties by index, as (bit, pairs).
+    counts = [len(plist) for plist in pairs_for]
+    by_pairs = [(1 << k, pairs_for[k]) for k in sorted(range(n), key=counts.__getitem__)]
 
     # Static per-element coverage cap, used for a set-cover style bound.
-    max_cover = max(len(row) for row in partners)
+    max_cover = max(len(row) for row in hit)
 
-    def coverage_bound(chosen_size: int, uncovered: int) -> int:
+    def lower_bound(size: int, left: int) -> tuple[int, str]:
+        """Least final |B| below a node with ``left`` uncovered targets, and
+        the prune cause it would be credited to."""
         k = 0
         reachable = 0
-        while reachable < uncovered:
+        while reachable < left:
             k += 1
-            reachable = k * chosen_size + k * (k + 1) // 2
-        return max(k, -(-uncovered // max_cover))
+            reachable = k * size + k * (k + 1) // 2
+        cover_term = max(k, -(-left // max_cover))
+        floor_term = floor - size
+        cause = "coverage" if cover_term > floor_term else "counting_floor"
+        return size + max(cover_term, floor_term), cause
 
-    def gained(trial: int, added: int) -> int:
-        """Targets covered by ``trial`` through an element of ``added``."""
-        got = 0
-        for i in _bits(added):
-            for partner, target in partners[i]:
-                if trial & partner:
-                    got |= target
-        return got
+    # bounds[size * (n + 1) + left] memoizes lower_bound; sizes stay <= size_cap.
+    bounds: list = [None] * ((size_cap + 1) * (n + 1))
+
+    def extend(reach: dict, affordable: list, added: int) -> tuple[dict, list]:
+        """Turn the tables of chosen, in place, into those of chosen | added.
+
+        reach[j] holds the targets u_j + u_c over chosen c, so a pair (i, j)
+        covers reach[i] | reach[j] | own on top of what the chosen elements
+        cover.  affordable[k] counts the self-pair of t_k and the pairs of
+        t_k with a chosen end (right for an uncovered t_k only).
+        """
+        for c in _bits(added):
+            for k, j in hit[c].items():
+                reach[j] = reach.get(j, 0) | 1 << k
+                affordable[k] += 1
+        return reach, affordable
 
     def greedy() -> int:
         chosen = covered = 0
+        reach, affordable = {}, root_affordable[:]
         while covered != full:
             uncovered = full & ~covered
-            k = min(_bits(uncovered), key=lambda v: len(pairs_for[v]))
+            options = next(plist for bit, plist in by_pairs if uncovered & bit)
             best_mask, best_newly = 0, 0
             best_gain = -1
-            for _i, _j, mask in pairs_for[k]:
-                added = mask & ~chosen
-                newly = gained(chosen | mask, added) & uncovered
-                gain = newly.bit_count() * 4 - added.bit_count()
+            for i, j, mask, own in options:
+                newly = (reach.get(i, 0) | reach.get(j, 0) | own) & uncovered
+                gain = newly.bit_count() * 4 - (mask & ~chosen).bit_count()
                 if gain > best_gain:
                     best_gain = gain
                     best_mask, best_newly = mask, newly
+            extend(reach, affordable, best_mask & ~chosen)
             chosen |= best_mask
             covered |= best_newly
         return chosen
@@ -182,60 +230,77 @@ def min_basis(
     within_cap = incumbent.bit_count() <= size_cap
     best_size = incumbent.bit_count() if within_cap else size_cap + 1
     best_set = incumbent if within_cap else None
-    nodes = 0
     prunes = dict.fromkeys(("counting_floor", "coverage", "no_affordable_pair", "size_cap"), 0)
 
-    def dfs(chosen: int, covered: int, size: int) -> None:
+    def expand(
+        chosen: int, uncovered: int, size: int, left: int, reach: dict, affordable: list
+    ) -> None:
+        """Branch below a node that is counted and has passed the bound.
+
+        Each child is counted, and its leaf test and bound are made here,
+        before any call: a child that is cut costs no call.
+        """
         nonlocal best_size, best_set, nodes
-        nodes += 1
-        uncovered = full & ~covered
-        if not uncovered:
-            if size < best_size:
-                best_size = size
-                best_set = chosen
-            return
-        cover_term = coverage_bound(size, uncovered.bit_count())
-        floor_term = floor - size
-        if size + max(cover_term, floor_term) >= best_size:
-            prunes["coverage" if cover_term > floor_term else "counting_floor"] += 1
-            return
         # Most-constrained uncovered element: fewest pairs still affordable.
-        # A pair adds at most two elements, so with a slack of three or more
-        # every pair is affordable.
-        slack = best_size - size
-        options = None
-        for k in _bits(uncovered):
-            opts = pairs_for[k]
-            if slack < 3:
-                opts = [p for p in opts if (p[2] & ~chosen).bit_count() < slack]
-            if options is None or len(opts) < len(options):
-                options = opts
-                if not options:
-                    break
-        if not options:
-            prunes["no_affordable_pair"] += 1
-            return
+        # A pair adds at most two elements, and the bound leaves a slack of
+        # at least two.  With three or more every pair is affordable.  With
+        # two, a pair is affordable exactly when it is a self-pair or has a
+        # chosen end (both ends chosen would cover the target already).
+        if best_size - size > 2:
+            options = next(plist for bit, plist in by_pairs if uncovered & bit)
+        else:
+            k = min(_bits(uncovered), key=affordable.__getitem__)
+            if not affordable[k]:
+                prunes["no_affordable_pair"] += 1
+                return
+            options = [
+                make_pair(k, c, j) for c in _bits(chosen) if (j := hit[c].get(k)) is not None
+            ]
+            if self_pair[k]:
+                options.append(self_pair[k])
         ranked = []
-        for i, j, mask in options:
-            added = mask & ~chosen
-            trial = chosen | mask
-            newly = gained(trial, added) & uncovered
-            ranked.append((added.bit_count(), -newly.bit_count(), i, j, trial, newly))
+        free = ~chosen
+        for i, j, mask, own in options:
+            newly = (reach.get(i, 0) | reach.get(j, 0) | own) & uncovered
+            ranked.append(((mask & free).bit_count(), -newly.bit_count(), i, j, mask, newly))
         # Ties break on (i, j), that is on the values of the pair.
         ranked.sort()
-        for n_added, _, _, _, trial, newly in ranked:
-            if size + n_added >= best_size:
-                prunes["size_cap"] += 1
+        for rank, (n_added, minus_new, _, _, mask, newly) in enumerate(ranked):
+            child = size + n_added
+            if child >= best_size:
+                # Ranked by size first: every later pair is cut as well.
+                prunes["size_cap"] += len(ranked) - rank
+                return
+            nodes += 1
+            rest = left + minus_new
+            if not rest:
+                best_size = child
+                best_set = chosen | mask
                 continue
-            dfs(trial, covered | newly, size + n_added)
+            at = child * (n + 1) + rest
+            bound = bounds[at]
+            if bound is None:
+                bound = bounds[at] = lower_bound(child, rest)
+            if bound[0] >= best_size:
+                prunes[bound[1]] += 1
+                continue
+            tables = extend(reach.copy(), affordable[:], mask & ~chosen)
+            expand(chosen | mask, uncovered ^ newly, child, rest, *tables)
 
-    dfs(0, 0, 0)
+    # The root: A is nonempty, so it is never a leaf.
+    nodes = 1
+    root, cause = lower_bound(0, n)
+    if root >= best_size:
+        prunes[cause] += 1
+    else:
+        expand(0, full, 0, n, {}, root_affordable)
 
     if best_set is None:
         raise InfeasibleWithinUniverse(
             f"no basis of size <= {size_cap} exists within the given universe"
         )
-    basis = ArithSet._from_values([u._values[i] for i in _bits(best_set)], a.p)
+    # Bits ascend in index order, which is value order.
+    basis = ArithSet._from_values([u._values[i] for i in _bits(best_set)], a.p, ordered=True)
     sums = sumset(basis, basis)
     missing = [t for t in a._values if t not in sums]
     if missing:
@@ -276,73 +341,104 @@ def decompose(a: ArithSet) -> Decomposition:
         raise OutsideDomain("decomposition search runs in rational mode only")
     if len(a) < 2:
         raise OutsideDomain("need at least two elements")
-    # The search runs on the ints d·x, d the common denominator of A.
+    # The search runs on the ints d·x, d the common denominator of A; B holds
+    # values beta = a - c0 and C values gamma = a, and sums are kept by
+    # their index in A.
     (elems,), d = _scaled_values([a])
-    a_index = set(elems)
+    n = len(elems)
     c0 = elems[0]
+    index = dict(zip(elems, range(n))).get  # index(x): where x is in A, or None
     b_universe = [x - c0 for x in elems]  # candidates for B, ascending, 0 first
+    # pairs_for[t]: the (beta, gamma) with beta + gamma = a_t, by beta, built
+    # when a_t is first the target.
+    pairs_for: list = [None] * n
 
-    b_set = {0}
-    c_set = {c0}
-    # explained[s]: the number of pairs of B x C with sum s.
-    explained: dict = {c0: 1}
+    # B and C in the order placed; explained[t] is the number of pairs of
+    # B x C with sum a_t, and the bits of ``unexplained`` are the t where it
+    # is 0, so the target is the lowest bit.
+    b_side = [0]
+    c_side = [c0]
+    explained = [0] * n
+    explained[0] = 1
+    unexplained = (1 << n) - 2
     nodes = 0
 
     def fits(v, other) -> int | None:
         """Unexplained sums v + w over w in ``other``; None if one is not in A."""
         fresh = 0
         for w in other:
-            s = v + w
-            if s not in a_index:
+            t = index(v + w)
+            if t is None:
                 return None
-            fresh += not explained.get(s, 0)
+            fresh += unexplained >> t & 1
         return fresh
 
-    def place(v, mine, other, step: int) -> None:
-        """Add (step 1) or remove (step -1) v on its side, with its sums."""
-        (mine.add if step > 0 else mine.discard)(v)
+    def place(v, mine: list, other: list, step: int) -> None:
+        """Add (step 1) or remove (step -1) v, which fits, on its side, with
+        its sums.  Removals undo placements in reverse order, so v is last
+        on its side."""
+        nonlocal unexplained
+        adding = step > 0
         for w in other:
-            explained[v + w] = explained.get(v + w, 0) + step
+            t = index(v + w)
+            explained[t] += step
+            # The sum turns explained (0 -> 1) or unexplained (1 -> 0).
+            if explained[t] == adding:
+                unexplained ^= 1 << t
+        if adding:
+            mine.append(v)
+        else:
+            mine.pop()
 
     def dfs() -> tuple | None:
         nonlocal nodes
         nodes += 1
-        target = next((t for t in elems if not explained.get(t, 0)), None)
-        if target is None:
+        if not unexplained:
             # A singleton side here is {0} with C = A, or {c0} with B = A - c0,
             # and no second element fits: no nonzero translate of A lies in A.
-            if len(b_set) < 2 or len(c_set) < 2:
+            if len(b_side) < 2 or len(c_side) < 2:
                 return None
-            return set(b_set), set(c_set)
+            return list(b_side), list(c_side)
+        target = (unexplained & -unexplained).bit_length() - 1
+        pairs = pairs_for[target]
+        if pairs is None:
+            t = elems[target]
+            pairs = pairs_for[target] = [
+                (beta, t - beta) for beta in b_universe if index(t - beta) is not None
+            ]
         candidates = []
-        for beta in b_universe:
-            gamma = target - beta
-            if gamma not in a_index:
-                continue
+        for beta, gamma in pairs:
             # target is unexplained, so beta and gamma are not both placed.
-            b_new = beta not in b_set
-            c_new = gamma not in c_set
-            fresh_b = fits(beta, c_set) if b_new else 0
-            fresh_c = fits(gamma, b_set) if c_new else 0
-            if fresh_b is None or fresh_c is None:
-                continue
+            gain = 0
+            b_new = beta not in b_side
+            if b_new:
+                fresh = fits(beta, c_side)
+                if fresh is None:
+                    continue
+                gain = fresh
+            c_new = gamma not in c_side
+            if c_new:
+                fresh = fits(gamma, b_side)
+                if fresh is None:
+                    continue
+                gain += fresh
             kind = 2 if b_new and c_new else int(c_new)
             # New pairs with an unexplained sum, beta + gamma = target included.
-            gain = fresh_b + fresh_c + (kind == 2)
+            gain += kind == 2
             candidates.append((-gain, kind, beta, gamma, b_new, c_new))
         candidates.sort()
         for _gain, _kind, beta, gamma, b_new, c_new in candidates:
             if b_new:
-                place(beta, b_set, c_set, 1)
+                place(beta, b_side, c_side, 1)
             if c_new:
-                place(gamma, c_set, b_set, 1)
+                place(gamma, c_side, b_side, 1)
             found = dfs()
             if found:
                 return found
             if c_new:
-                place(gamma, c_set, b_set, -1)
+                place(gamma, c_side, b_side, -1)
             if b_new:
-                place(beta, b_set, c_set, -1)
+                place(beta, b_side, c_side, -1)
         return None
 
     found = dfs()

@@ -14,13 +14,14 @@ from sumprodlab import incidence, popdiff
 from sumprodlab.energy import (
     additive_energy,
     energy_quadruples,
+    is_sidon,
     multiplicative_energy,
     representation_function,
     shift_intersection,
 )
 from sumprodlab.families import generate, parse_family
 from sumprodlab.field import CeilingExceeded, Residue
-from sumprodlab.graph import build_containment_graph, rich_pairs
+from sumprodlab.graph import build_containment_graph, difference_solution_report, rich_pairs
 from sumprodlab.incidence import (
     collinear_triples,
     collinear_triples_brute,
@@ -609,6 +610,61 @@ def test_rational_shift_intersection_matches_the_translate_route(a, alpha):
             if x != y:
                 want = len(a._index & translate(a, x - y)._index)
                 assert shift_intersection(a, x - y) == want >= 1
+
+
+# -- Sidon sets and difference solutions on int keys ----------------------------
+
+
+@given(_sets(1, max_size=7))
+@settings(max_examples=200, deadline=None)
+@example((ArithSet([1, 2, 4, 8]),))
+@example((ArithSet([Fraction(1, 2), Fraction(1, 3), Fraction(5, 6)]),))
+@example((ArithSet([0, 1, 3], p=7),))
+@example((ArithSet([0, 1, 3, 5], p=7),))
+def test_is_sidon_matches_the_additive_energy(one):
+    (s,) = one
+    n = len(s)
+    assert is_sidon(s) == (additive_energy(s) == 2 * n * n - n)
+    elems = s.elements
+    sums = [u + v for i, u in enumerate(elems) for v in elems[i:]]
+    assert is_sidon(s) == (len(set(sums)) == len(sums))
+
+
+def _check_difference_solutions(basis, target, keep):
+    graph = build_containment_graph(basis, target)
+    subset = ArithSet([b for b, k in zip(basis.elements, keep) if k], p=basis.p)
+    if not len(subset):
+        return
+    report = difference_solution_report(graph, subset, 2)
+    diffs = Counter(x - y for x in target.elements for y in target.elements)
+    elems = subset.elements
+    want = [(b1, b2, diffs.get(b1 - b2, 0)) for b1 in elems for b2 in elems]
+    assert [row[:3] for row in report.pairs] == want
+    for b1, b2, _, common in report.pairs:
+        i, j = graph.basis.index_of(b1), graph.basis.index_of(b2)
+        assert common == graph.common_neighbors(i, j)
+
+
+@given(
+    _rational_set(6, max_size=5),
+    _rational_set(20, max_size=5),
+    _rationals(20),
+    st.lists(st.booleans(), min_size=5, max_size=5),
+)
+@settings(max_examples=150, deadline=None)
+def test_rational_difference_solutions_match_fraction_differences(basis, extra, shift, keep):
+    # A holds a translate of part of B, whose differences are those of B,
+    # and values with other denominators.
+    moved = [b + shift for b, k in zip(basis.elements, keep) if not k]
+    target = ArithSet(list(extra.elements) + moved)
+    _check_difference_solutions(basis, target, keep)
+
+
+@given(_sets(2, modes=FIELD_PRIMES, max_size=5), st.lists(st.booleans(), min_size=5, max_size=5))
+@settings(max_examples=100, deadline=None)
+def test_prime_field_difference_solutions_match_residue_differences(pair, keep):
+    basis, target = pair
+    _check_difference_solutions(basis, target, keep)
 
 
 # -- ceilings before the work -----------------------------------------------------

@@ -1,7 +1,7 @@
 """Solver search trees pinned node for node against tests/golden/solvers.json.
 
 The golden file holds, for a fixed list of calls, what ``min_basis``
-returned (size, nodes, basis) and what ``decompose`` returned (reducible,
+returned (size, nodes, basis, prunes) and what ``decompose`` returned (reducible,
 nodes, left, right).  A change to the inside of either solver that keeps
 the search tree keeps every one of these values; a change that reorders
 or prunes the tree shows up as a different node count.
@@ -97,6 +97,7 @@ def compute():
                 "size": res.size,
                 "nodes": res.nodes,
                 "basis": _dump(res.basis),
+                "prunes": res.prunes,
             }
         )
     for label, a in decompose_calls():
@@ -131,8 +132,9 @@ def test_golden_inputs_are_the_listed_calls():
 def test_min_basis_trees_match_golden():
     for case in _golden()["min_basis"]:
         res = min_basis(_load(case["a"]), universe=_load(case["universe"]))
-        got = (res.size, res.nodes, _dump(res.basis))
-        assert got == (case["size"], case["nodes"], case["basis"]), case["label"]
+        got = (res.size, res.nodes, _dump(res.basis), res.prunes)
+        want = (case["size"], case["nodes"], case["basis"], case["prunes"])
+        assert got == want, case["label"]
 
 
 def test_decompose_trees_match_golden():
