@@ -7,10 +7,12 @@ of the pair kernel in :mod:`sumprodlab.sets` (ints modulo p in F_p, ints
 over a common denominator in Q) into a representation function
 r(s) = #{(u, v) : u o v = s} and summing r(s)^2 -- O(|S|^2) time and
 space, with no field element built per pair.  sigma_A(B) sums r_{B+-B}
-over A.  One shift overlap |A ∩ (A+α)| is counted on the same plain ints,
-and its bound reads M from the A*A the set keeps.  The O(|S|^4) quadruple
-enumeration :func:`energy_quadruples` is kept alongside as the
-independent oracle and slow path for cross-checking both energies.
+over A.  A shift overlap |A ∩ (A+α)| = r_{A-A}(α) counts the pairs with
+a1 - a2 = α on the same plain ints, by the routine that also lists the
+1 - x = a1 - a2 solutions of :mod:`sumprodlab.popdiff`; its bound reads M
+from the A*A the set keeps.  The O(|S|^4) quadruple enumeration
+:func:`energy_quadruples` is kept alongside as the independent oracle
+and slow path for cross-checking both energies.
 """
 
 from __future__ import annotations
@@ -20,14 +22,16 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import CeilingExceeded, FieldElement, coerce_element
+from .field import FieldElement, coerce_element
 from .sets import (
     DEFAULT_ELEMENT_CEILING,
     ArithSet,
     PairCounts,
+    _canonical,
+    _guard,
+    _int_values,
     _Keys,
     _pair_rows,
-    _scaled_values,
     aa_over_a,
     multiplicative_doubling,
     require_same_mode,
@@ -56,8 +60,7 @@ def representation_function(
     if len(s) == 0 or len(t) == 0:
         raise ValueError("representation function requires nonempty sets")
     require_same_mode(s, t)
-    if ceiling is not None and len(s) * len(t) > ceiling:
-        raise CeilingExceeded("representation function", len(s) * len(t), ceiling)
+    _guard("representation function", len(s) * len(t), ceiling)
     return PairCounts(s, t, op)
 
 
@@ -143,19 +146,24 @@ def is_sidon(s: ArithSet) -> bool:
 
 def shift_intersection(a: ArithSet, alpha) -> int:
     """|A intersect (A + alpha)|, the x of A with x - alpha in A, for alpha != 0."""
-    alpha = coerce_element(alpha, a.p)
+    alpha = _canonical(alpha, a.p)
     if not alpha:
         raise ValueError("shift must be nonzero")
-    if a.p is not None:
-        index = a._index
-        return sum(1 for x in a._values if (x - alpha.value) % a.p in index)
     # Over Q on the ints d·x: a difference of A lies on the lattice (1/d)Z.
-    (xs,), d = _scaled_values([a])
-    shift = _Keys(None, d).key(alpha)
+    (xs,), one, p = _int_values([a])
+    shift = _Keys(p, one).key(alpha)
     if shift is None:
         return 0
-    index = set(xs)
-    return sum(1 for x in xs if x - shift in index)
+    return len(_solution_pairs(shift, xs, set(xs), p))
+
+
+def _solution_pairs(shift: int, vals: list[int], index: set, p: int | None) -> list[tuple]:
+    """Every pair (a1, a2) of the plain ints ``vals`` (from :func:`_int_values`,
+    with ``index`` their set) with a1 - a2 = shift, in canonical order of a2;
+    over F_p the difference is taken mod p."""
+    if p is None:
+        return [(a2 + shift, a2) for a2 in vals if a2 + shift in index]
+    return [(a1, a2) for a2 in vals if (a1 := (a2 + shift) % p) in index]
 
 
 def _cube_root_ceil(q: Fraction) -> int:

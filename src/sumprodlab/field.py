@@ -92,7 +92,7 @@ def check_prime_modulus(p: int) -> int:
 class Residue:
     """An element of the prime field Z/pZ.
 
-    Instances are immutable, hashable, and totally ordered by their
+    Instances are immutable, hashable, and ordered by ``<`` on their
     canonical representative in ``0 <= value < p``.  Mixing residues of
     different moduli raises :class:`ModeMismatchError`.  A residue equals
     only a residue of the same modulus and value, never a plain int, so
@@ -130,9 +130,6 @@ class Residue:
         o = self._coerce(other)
         return Residue(self.value - o.value, self.p)
 
-    def __rsub__(self, other):
-        return self._coerce(other).__sub__(self)
-
     def __mul__(self, other):
         o = self._coerce(other)
         return Residue(self.value * o.value, self.p)
@@ -145,9 +142,6 @@ class Residue:
             raise ZeroDivisionError(f"division by zero residue mod {self.p}")
         return Residue(self.value * pow(o.value, self.p - 2, self.p), self.p)
 
-    def __rtruediv__(self, other):
-        return self._coerce(other).__truediv__(self)
-
     def __neg__(self):
         return Residue(-self.value, self.p)
 
@@ -159,16 +153,6 @@ class Residue:
     def __lt__(self, other):
         o = self._coerce(other)
         return self.value < o.value
-
-    def __le__(self, other):
-        o = self._coerce(other)
-        return self.value <= o.value
-
-    def __gt__(self, other):
-        return not self.__le__(other)
-
-    def __ge__(self, other):
-        return not self.__lt__(other)
 
     def __hash__(self):
         return hash((self.value, self.p))

@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import chain, compress
 
 from .field import FieldElement, OutsideDomain
-from .sets import _ROWS, _ROWS_MOD, ArithSet, _pair_rows, _values_for, require_same_mode
+from .sets import _ROWS, _ROWS_MOD, ArithSet, _int_values, _pair_rows, require_same_mode
 
 
 class ContainmentGraph:
@@ -252,7 +252,7 @@ def difference_solution_report(
     """
     # index_of raises KeyError if subset is not within B.
     indices = [graph.basis.index_of(x) for x in subset]
-    (a_vals, s_vals), p = _values_for([graph.target, subset])
+    (a_vals, s_vals), _, p = _int_values([graph.target, subset])
     minus = (_ROWS if p is None else _ROWS_MOD)["minus"]
     differences = Counter(chain.from_iterable(minus(x, a_vals, p) for x in a_vals))
     rows = []

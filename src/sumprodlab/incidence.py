@@ -42,8 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .field import CeilingExceeded
-from .sets import ArithSet, _values_for, require_same_mode
+from .sets import ArithSet, _guard, _int_values, require_same_mode
 
 #: Ceiling on the number of pairs of union grid points a line count covers.
 DEFAULT_PAIR_CEILING = 100_000_000
@@ -55,16 +54,17 @@ class RouteDisagreement(RuntimeError):
     """Raised when two exact counting routes give different answers."""
 
 
-def _union_size(value_lists: list[list[int]]) -> int:
-    """|union of the grids V x V|, by inclusion-exclusion over the value sets:
-    the grids of a group of sets meet in the grid of their common values."""
+def _union_pairs(value_lists: list[list[int]]) -> int:
+    """Pairs of points of the union of the grids V x V.  Its size m comes by
+    inclusion-exclusion over the value sets: the grids of a group of sets
+    meet in the grid of their common values."""
     sets = [set(vals) for vals in value_lists]
     total = 0
     for r in range(1, len(sets) + 1):
         sign = 1 if r % 2 else -1
         for group in combinations(sets, r):
             total += sign * len(set.intersection(*group)) ** 2
-    return total
+    return total * (total - 1) // 2
 
 
 def _slope_table(value_lists: list[list[int]], p: int | None):
@@ -96,11 +96,6 @@ def _union_points(value_lists: list[list[int]]) -> tuple[list[tuple[int, int]], 
                 masks[key] = masks.get(key, 0) | flag
     points = sorted(masks)
     return points, [masks[pt] for pt in points]
-
-
-def _guard_pairs(m: int, ceiling: int | None) -> None:
-    if ceiling is not None and m * (m - 1) // 2 > ceiling:
-        raise CeilingExceeded("line hashing over point pairs", m * (m - 1) // 2, ceiling)
 
 
 def _directions(
@@ -159,8 +154,8 @@ def collinear_triples(
     """
     if not (len(x) and len(y) and len(z)):
         raise ValueError("all three sets must be nonempty")
-    values, p = _values_for([x, y, z])
-    _guard_pairs(_union_size(values), pair_ceiling)
+    values, _, p = _int_values([x, y, z])
+    _guard("line hashing over point pairs", _union_pairs(values), pair_ceiling)
     slopes = _slope_table(values, p)
     v0, v1, v2 = values
     total = 0
@@ -209,10 +204,8 @@ def collinear_triples_brute(
     if not (len(x) and len(y) and len(z)):
         raise ValueError("all three sets must be nonempty")
     require_same_mode(x, y, z)
-    work = (len(x) * len(y) * len(z)) ** 2
-    if ceiling is not None and work > ceiling:
-        raise CeilingExceeded("brute-force triple enumeration", work, ceiling)
-    values, p = _values_for([x, y, z])
+    _guard("brute-force triple enumeration", (len(x) * len(y) * len(z)) ** 2, ceiling)
+    values, _, p = _int_values([x, y, z])
     grids = [[(u, v) for u in vals for v in vals] for vals in values]
     if values[0] == values[1] == values[2]:
         points = grids[0]
@@ -250,9 +243,7 @@ def sextuple_collinearity_count(
     """
     if len(a) == 0:
         raise ValueError("set must be nonempty")
-    work = len(a) ** 6
-    if ceiling is not None and work > ceiling:
-        raise CeilingExceeded("sextuple enumeration", work, ceiling)
+    _guard("sextuple enumeration", len(a) ** 6, ceiling)
     nondeg = collinear_triples_brute(a, a, a, ceiling=None)
     check = collinear_triples(a, a, a)
     if check != nondeg:
@@ -326,8 +317,8 @@ def dyadic_table(
     """
     if len(c) < 2 and len(b) < 2:
         raise ValueError("at least one of the sets needs two elements")
-    values, p = _values_for([c, b])
-    _guard_pairs(_union_size(values), pair_ceiling)
+    values, _, p = _int_values([c, b])
+    _guard("line hashing over point pairs", _union_pairs(values), pair_ceiling)
     slopes = _slope_table(values, p)
     first, second = values
     points, masks = _union_points(values)

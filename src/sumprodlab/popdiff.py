@@ -31,20 +31,25 @@ from itertools import chain
 from math import gcd
 from typing import NamedTuple
 
-from .field import CeilingExceeded, OutsideDomain, coerce_element
+from .field import OutsideDomain, coerce_element
 from .sets import (
     DEFAULT_ELEMENT_CEILING,
     ArithSet,
-    _canonical,
+    _guard,
     _int_values,
     _Keys,
-    _values_for,
     product_set,
     ratio_set,
     require_same_mode,
     sumset,
 )
-from .energy import additive_energy, energy_from_counts, ratio_quotient_energy
+from .energy import (
+    _solution_pairs,
+    additive_energy,
+    energy_from_counts,
+    ratio_quotient_energy,
+    shift_intersection,
+)
 from .graph import ContainmentGraph, lk_profile, rich_pairs
 
 
@@ -79,9 +84,7 @@ class PopDiffCertificate:
 
 def guard_collision_ceiling(b: ArithSet, ceiling: int | None) -> None:
     """Refuse a collision count over the |B|^3 ratio values above ``ceiling``."""
-    n = len(b)
-    if ceiling is not None and n**3 > ceiling:
-        raise CeilingExceeded("collision count over B^3 ratio values", n**3, ceiling)
+    _guard("collision count over B^3 ratio values", len(b) ** 3, ceiling)
 
 
 def _divisors(ys: list[int], ws: list[int], p: int | None) -> list[tuple]:
@@ -138,7 +141,7 @@ def build_popular_ratios(
     guard_collision_ceiling(b, ceiling)
 
     pairs = rich_pairs(graph, tau, within=subset)
-    (vals,), p = _values_for([b])
+    (vals,), _, p = _int_values([b])
     n = len(vals)
     # Row i holds the divisors b1 + bk for b1 = b_i; a common neighbor bk
     # of b1 puts b1 + bk in A, so none of them vanishes.
@@ -190,7 +193,8 @@ def shift_ratio_identity_holds(b1, b2, b, b_alt) -> bool:
     den = b1 + b
     if not den:
         raise ZeroDivisionError("b1 + b must be nonzero")
-    lhs = 1 - (b2 + b) / den
+    one = den / den  # 1 in the field of the arguments; int - Residue is not defined
+    lhs = one - (b2 + b) / den
     mid = (b1 - b2) / den
     rhs = (b1 + b_alt) / den - (b2 + b_alt) / den
     return lhs == mid == rhs
@@ -205,29 +209,17 @@ def ratio_product_identity_holds(b1, b2, c, c_alt) -> bool:
     den_alt = b2 + c_alt
     if not den or not den_alt:
         raise ZeroDivisionError("b2 + c and b2 + c' must be nonzero")
-    lhs = 1 - (b1 + c) / den
-    rhs = (den_alt / den) * (1 - (b1 + c_alt) / den_alt)
+    one = den / den
+    lhs = one - (b1 + c) / den
+    rhs = (den_alt / den) * (one - (b1 + c_alt) / den_alt)
     return lhs == rhs
 
 
 def one_minus_x_solutions(x, d: ArithSet) -> int:
-    """Count pairs (a1, a2) in D^2 with a1 - a2 = 1 - x."""
-    (vals,), one, p = _int_values([d])
-    target = _canonical(coerce_element(1, d.p) - coerce_element(x, d.p), d.p)
-    # Over Q a difference of D lies on the lattice of D's common denominator.
-    shift = _Keys(p, one).key(target)
-    if shift is None:
-        return 0
-    return len(_solution_pairs(shift, vals, set(vals), p))
-
-
-def _solution_pairs(shift: int, vals: list[int], index: set, p: int | None) -> list[tuple]:
-    """Every pair (a1, a2) of the plain ints ``vals`` (from :func:`_int_values`,
-    with ``index`` their set) with a1 - a2 = shift, in canonical order of a2;
-    over F_p the difference is taken mod p."""
-    if p is None:
-        return [(a2 + shift, a2) for a2 in vals if a2 + shift in index]
-    return [(a1, a2) for a2 in vals if (a1 := (a2 + shift) % p) in index]
+    """Count pairs (a1, a2) in D^2 with a1 - a2 = 1 - x: the shift overlap
+    |D ∩ (D + 1 - x)|, or |D| when x = 1."""
+    shift = coerce_element(1, d.p) - coerce_element(x, d.p)
+    return shift_intersection(d, shift) if shift else len(d)
 
 
 @dataclass(frozen=True)
@@ -347,7 +339,7 @@ class _RatioWalk(NamedTuple):
 
 
 def _ratio_walk(first: ArithSet, second: ArithSet) -> _RatioWalk:
-    (fs, ss), p = _values_for([first, second])
+    (fs, ss), _, p = _int_values([first, second])
     m = len(ss)
     divisors = _divisors(fs, ss, p)
     keys: Counter = Counter()

@@ -21,7 +21,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from .families import FamilySpec, generate
-from .field import Residue
 from .sets import ArithSet
 from .verify import (
     INSTANCE_FREE,
@@ -39,7 +38,7 @@ def jsonable(obj):
             return obj.numerator
         return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, ArithSet):
-        return [jsonable_element(x) for x in obj]
+        return [jsonable(x) for x in obj._values]
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -49,12 +48,6 @@ def jsonable(obj):
     if isinstance(obj, (int, str, bool)) or obj is None:
         return obj
     return str(obj)
-
-
-def jsonable_element(x):
-    if isinstance(x, Residue):
-        return x.value
-    return jsonable(x)
 
 
 def _format_cell(value) -> str:

@@ -63,7 +63,7 @@ class ArithSet:
     when a caller asks for it.  The kernels of the package read
     ``_values`` and ``_index``; only this module builds them.  No kernel
     computes on the ``Fraction`` values pair by pair: it scales them once
-    to ints over a common denominator (:func:`_scaled_values`), and a
+    to ints over a common denominator (:func:`_int_values`), and a
     ``Fraction`` is built again only for each distinct output.  ``_derived``
     keeps what is built on demand: A*A and A/A, the small derived sets of
     the paper's instances, and the ``Residue`` tuple.  It takes no part in
@@ -389,12 +389,6 @@ def _int_values(sets: list[ArithSet]) -> tuple[list[list[int]], int, int | None]
         values, d = _scaled_values(sets)
         return values, d, None
     return [list(s._values) for s in sets], 1, p
-
-
-def _values_for(sets: list[ArithSet]) -> tuple[list[list[int]], int | None]:
-    """:func:`_int_values` without the unit."""
-    values, _, p = _int_values(sets)
-    return values, p
 
 
 def _require_nonempty(*sets: ArithSet) -> None:

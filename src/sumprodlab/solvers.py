@@ -19,7 +19,7 @@ the targets a pair adds are two lookups, and per target the number of
 pairs with a chosen end.  A child's leaf test and bound are made before
 it is entered, from a per-call memo of the bound; a cut child is still
 counted as a node, so the tree and its prune counts are those of a search
-that enters every child.
+that enters every child.  The basis found is re-checked on the same ints.
 
 Decomposition.  Decide whether A = B + C with |B|, |C| >= 2.  Translation
 freedom is removed by fixing min(B) = 0, which forces C to be a subset
@@ -45,7 +45,7 @@ from .energy import representation_function, shift_intersection_report
 from .field import OutsideDomain
 from .sets import (
     ArithSet,
-    _scaled_values,
+    _int_values,
     difference_set,
     multiplicative_doubling,
     require_same_mode,
@@ -123,7 +123,7 @@ def min_basis(
     if size_cap is None:
         size_cap = math.ceil(2 * math.sqrt(len(a))) + 4
     # The tables are built on the ints d·x, d the common denominator.
-    (targets, u_vals), _ = _scaled_values([a, u])
+    (targets, u_vals), _, _ = _int_values([a, u])
     position = {x: i for i, x in enumerate(u_vals)}
 
     # hit[i] maps each k with t_k - u_i = u_j in the universe to j, and
@@ -299,12 +299,14 @@ def min_basis(
         raise InfeasibleWithinUniverse(
             f"no basis of size <= {size_cap} exists within the given universe"
         )
-    # Bits ascend in index order, which is value order.
-    basis = ArithSet._from_values([u._values[i] for i in _bits(best_set)], a.p, ordered=True)
-    sums = sumset(basis, basis)
-    missing = [t for t in a._values if t not in sums]
+    # The result is re-checked on the scaled ints: every target in B + B.
+    chosen = [u_vals[i] for i in _bits(best_set)]
+    sums = {x + y for x in chosen for y in chosen}
+    missing = [t for t, x in zip(a._values, targets) if x not in sums]
     if missing:
         raise RuntimeError(f"search returned a non-basis; missing {missing}")
+    # Bits ascend in index order, which is value order.
+    basis = ArithSet._from_values([u._values[i] for i in _bits(best_set)], a.p, ordered=True)
     return BasisSearchResult(
         basis=basis,
         size=len(basis),
@@ -344,7 +346,7 @@ def decompose(a: ArithSet) -> Decomposition:
     # The search runs on the ints d·x, d the common denominator of A; B holds
     # values beta = a - c0 and C values gamma = a, and sums are kept by
     # their index in A.
-    (elems,), d = _scaled_values([a])
+    (elems,), d, _ = _int_values([a])
     n = len(elems)
     c0 = elems[0]
     index = dict(zip(elems, range(n))).get  # index(x): where x is in A, or None
@@ -476,7 +478,7 @@ def decomposition_report(a: ArithSet) -> dict:
     report["left_size"] = len(b)
     report["right_size"] = len(c)
     report["cube_root_of_size"] = len(a) ** (1.0 / 3.0)
-    report["containment_ok"] = all(x + y in a for x in b for y in c)
+    report["containment_ok"] = sumset(b, c)._index <= a._index
     shift_ok: bool | None = None
     if not a.contains_zero():
         overlaps = representation_function(a, a, "minus", ceiling=None)

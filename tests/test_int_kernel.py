@@ -612,6 +612,32 @@ def test_rational_shift_intersection_matches_the_translate_route(a, alpha):
                 assert shift_intersection(a, x - y) == want >= 1
 
 
+#: x = 1 - α for the lattice shift α = 1/3 - 1/2 of D below, and for a shift off it.
+HALVES_AND_THIRDS = ArithSet([Fraction(1, 2), Fraction(1, 3), Fraction(5, 6), 2])
+
+
+@given(
+    MODES.flatmap(
+        lambda p: st.tuples(
+            _set_in(p, max_size=7),
+            st.integers(-40, 40) if p is not None else _rationals(40),
+        )
+    )
+)
+@settings(max_examples=300, deadline=None)
+@example((HALVES_AND_THIRDS, Fraction(7, 6)))
+@example((HALVES_AND_THIRDS, Fraction(1, 7)))
+@example((ArithSet([0, 1, 3], p=7), 1))
+@example((ArithSet([0, 1], p=2), 0))
+def test_one_minus_x_solutions_match_elementwise_pairs(case):
+    d, x = case
+    one = Fraction(1) if d.p is None else Residue(1, d.p)
+    x = x if d.p is None else Residue(x, d.p)
+    want = sum(1 for a1 in d.elements for a2 in d.elements if a1 - a2 == one - x)
+    assert popdiff.one_minus_x_solutions(x, d) == want
+    assert popdiff.one_minus_x_solutions(1, d) == len(d)
+
+
 # -- Sidon sets and difference solutions on int keys ----------------------------
 
 
@@ -693,7 +719,7 @@ def test_pair_ceiling_checked_before_any_point_is_built(monkeypatch, p):
 
 @pytest.mark.parametrize("p", [None, 10009])
 def test_brute_ceiling_checked_before_any_grid_is_built(monkeypatch, p):
-    monkeypatch.setattr(incidence, "_values_for", _refuse)
+    monkeypatch.setattr(incidence, "_int_values", _refuse)
     x = ArithSet(range(1200), p=p)
     with pytest.raises(CeilingExceeded) as err:
         collinear_triples_brute(x, x, x)

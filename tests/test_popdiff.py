@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumprodlab import popdiff
+from sumprodlab.field import Residue
 from sumprodlab.sets import ArithSet, ratio_set, sumset
 from sumprodlab.graph import build_containment_graph
 from sumprodlab.popdiff import (
@@ -86,6 +87,7 @@ def test_shift_ratio_identity_worked():
     one, two, three, five = map(Fraction, (1, 2, 3, 5))
     assert shift_ratio_identity_holds(one, two, three, five)
     assert shift_ratio_identity_holds(two, two, three, five)  # b1 = b2: both sides 0
+    assert shift_ratio_identity_holds(*(Residue(v, 7) for v in (1, 2, 3, 5)))
     with pytest.raises(ZeroDivisionError):
         shift_ratio_identity_holds(one, two, -one, five)
 
@@ -94,6 +96,7 @@ def test_ratio_product_identity_worked():
     one, two, three, four = map(Fraction, (1, 2, 3, 4))
     assert ratio_product_identity_holds(one, two, three, four)
     assert ratio_product_identity_holds(one, two, three, three)  # c = c'
+    assert ratio_product_identity_holds(*(Residue(v, 7) for v in (1, 2, 3, 4)))
     with pytest.raises(ZeroDivisionError):
         ratio_product_identity_holds(one, two, -two, four)
 
