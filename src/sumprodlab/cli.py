@@ -166,6 +166,7 @@ def _cmd_triples(args) -> int:
         }
         payload["table_triple_count"] = table.triple_count()
         payload["st_max_ratio"] = st.max_ratio
+        ok = ok and payload["table_triple_count"] == grouped
     _emit(payload, args.out)
     return 0 if ok else 1
 

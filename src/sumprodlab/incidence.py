@@ -23,9 +23,9 @@ on the ints modulo p that the sets store, with each coordinate difference
 inverted once per call and a direction keyed by its slope mod p.
 
 The dyadic table counts lines with the same direction histograms: from
-each point of the union of two grids it reads, per direction, how many
-points of each grid and of their overlap lie on that line, and each line
-is seen once from each of its union points.  The table keeps how many
+each point P of the union of two grids it reads, per direction, how many
+points of each grid and of their overlap lie after P on that line, and
+these views telescope to one count per line.  The table keeps how many
 lines meeting at least two points of either grid have each exact per-grid
 richness; expanding it reproduces T, and the lines can also be grouped
 into power-of-two richness buckets.
@@ -40,7 +40,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
 
 from .sets import ArithSet, _guard, _int_values, require_same_mode
 
@@ -309,11 +309,13 @@ def dyadic_table(
 ) -> IncidenceTable:
     """Census of every line meeting >= 2 points of C x C or of B x B.
 
-    From a union point P, the direction histograms of C x C, B x B and
-    their overlap give the richness of every line through P and another
-    union point: the points in that direction, plus P where it lies in
-    the grid.  A line through u union points is seen once from each of
-    them, so a richness class holds its views divided by u.
+    From a union point P, the direction histograms of the points after P
+    in C x C, B x B and their overlap give the class (in_first, in_second,
+    in_both) of the points after P on each line through P.  On a line with
+    union points P_1 < ... < P_u, P_i sees a class c_i with c_i + own(P_i)
+    = c_{i-1}.  So 1 added at c + own(P) and subtracted at c, over every
+    view, telescopes to one count at the class of the whole line, less one
+    at own(P_u): a single point, which the census drops.
     """
     if len(c) < 2 and len(b) < 2:
         raise ValueError("at least one of the sets needs two elements")
@@ -321,32 +323,28 @@ def dyadic_table(
     _guard("line hashing over point pairs", _union_pairs(values), pair_ceiling)
     slopes = _slope_table(values, p)
     first, second = values
+    same = first == second
+    common = list(set(first) & set(second))
     points, masks = _union_points(values)
-    if first == second:
-        # Every point lies in both grids, so a direction holding n other
-        # points is a line of richness n + 1 in each.
-        sizes: Counter = Counter()
-        for x1, y1 in points:
-            sizes.update(_directions(x1, y1, first, p, slopes, False).values())
-        views = {(n + 1, n + 1, n + 1): k for n, k in sizes.items()}
-    else:
-        common = list(set(first) & set(second))
-        views = Counter()
-        for (x1, y1), mask in zip(points, masks):
-            f0, s0, both0 = mask & 1, mask >> 1, int(mask == 3)
-            hf = _directions(x1, y1, first, p, slopes, False)
-            hs = _directions(x1, y1, second, p, slopes, False)
-            hboth = _directions(x1, y1, common, p, slopes, False)
-            for d, n in hf.items():
-                views[(n + f0, hs[d] + s0, hboth[d] + both0)] += 1
-            for d, n in hs.items():
-                if d not in hf:  # no point of C x C, so none of the overlap
-                    views[(f0, n + s0, both0)] += 1
-    census = {
-        (f, s, both): n // (f + s - both)
-        for (f, s, both), n in sorted(views.items())
-        if f >= 2 or s >= 2
-    }
+    # The classes of the after-P views, per grid-membership mask of P.
+    views = {mask: Counter() for mask in (1, 2, 3)}
+    for (x1, y1), mask in zip(points, masks):
+        hf = hs = hb = _directions(x1, y1, first, p, slopes, True)
+        only_s = ()  # directions with points of B x B and none of C x C
+        if not same:
+            hs = _directions(x1, y1, second, p, slopes, True)
+            hb = _directions(x1, y1, common, p, slopes, True)
+            only_s = hs.keys() - hf.keys()
+        tally = views[mask]
+        tally.update(zip(hf.values(), map(hs.get, hf, repeat(0)), map(hb.get, hf, repeat(0))))
+        tally.update(zip(repeat(0), map(hs.get, only_s), repeat(0)))
+    lines: Counter = Counter()
+    for mask, tally in views.items():
+        f0, s0, both0 = mask & 1, mask >> 1, int(mask == 3)
+        for (f, s, both), n in tally.items():
+            lines[(f + f0, s + s0, both + both0)] += n
+        lines.subtract(tally)
+    census = {k: n for k, n in sorted(lines.items()) if n and (k[0] >= 2 or k[1] >= 2)}
     return IncidenceTable(first=c, second=b, census=census)
 
 

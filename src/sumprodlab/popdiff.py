@@ -16,11 +16,11 @@ common denominator and each ratio is keyed on its reduced int pair
 (num, den), with the sign on num; over F_p each nonzero denominator is
 inverted once and a ratio is keyed on its residue.  ``Fraction`` and
 ``Residue`` objects are built only for the distinct values, in canonical
-order after a sort on the int keys.  The solutions of 1 - x = a1 - a2 and
-the quadruples of the energy floor are counted on plain ints too.  The
-identity battery of :mod:`sumprodlab.verify` checks both identities on
-cross-multiplied ints; the two ``*_identity_holds`` functions here are the
-same checks on field elements.
+order after a sort on the int keys.  The solutions of 1 - x = a1 - a2, of
+1 - x = y(1 - x*) and the quadruples of the energy floor are counted on
+plain ints too.  The identity battery of :mod:`sumprodlab.verify` checks
+both identities on cross-multiplied ints; the two ``*_identity_holds``
+functions here are the same checks on field elements.
 """
 
 from __future__ import annotations
@@ -436,24 +436,15 @@ def sumset_energy_bounds(
     ratios = build_ratio_sets(b, c)
     x_set, y_set = ratios.x_set, ratios.y_set
 
-    # Per-element solution counts to 1 - x = y(1 - x*): vary c' over C for
-    # the stored witness of x; distinct c' give distinct scale factors y.
-    def _witness_solutions(witness, other):
-        counts = []
-        for val, (f1, f2, s) in sorted(witness.items()):
-            pairs = set()
-            for s_alt in other:
-                den_alt = f2 + s_alt
-                if not den_alt:
-                    continue
-                scale = den_alt / (f2 + s)
-                x_star = (f1 + s_alt) / den_alt
-                pairs.add((scale, x_star))
-            counts.append(len(pairs))
-        return counts
+    # Solutions of 1 - x = y(1 - x*) per witness (f1, f2, s) of x: vary c'
+    # over C.  The scale y = (f2 + c')/(f2 + s) fixes c', so they number the
+    # c' with f2 + c' != 0, counted on the ints of the sets.
+    (bs, cs), _, p = _int_values([b, c])
 
-    x_counts = _witness_solutions(ratios.x_witness, c)
-    y_counts = _witness_solutions(ratios.y_witness, b)
+    def _solutions_min(witness, first, firsts, others):
+        negs = {-v % p for v in others} if p else {-v for v in others}
+        short = {el for el, v in zip(first.elements, firsts) if v in negs}
+        return min((len(others) - (f2 in short) for _, f2, _ in witness.values()), default=0)
 
     energy, _ = ratio_quotient_energy(a, ceiling)
     floor_x = len(a) * len(x_set) * len(c)
@@ -467,6 +458,6 @@ def sumset_energy_bounds(
         floor_y=floor_y,
         holds_x=energy >= floor_x,
         holds_y=energy >= floor_y,
-        x_solutions_min=min(x_counts) if x_counts else 0,
-        y_solutions_min=min(y_counts) if y_counts else 0,
+        x_solutions_min=_solutions_min(ratios.x_witness, b, bs, cs),
+        y_solutions_min=_solutions_min(ratios.y_witness, c, cs, bs),
     )

@@ -8,6 +8,7 @@ import pytest
 
 from sumprodlab import cli, graph, verify
 from sumprodlab.cli import main
+from sumprodlab.incidence import IncidenceTable
 from sumprodlab.sets import ArithSet, read_set_file, write_set_file
 
 
@@ -133,6 +134,16 @@ def test_triples_cli_with_brute(tmp_path, capsys):
     assert payload["triples"] == 48
     assert payload["routes_agree"]
     assert payload["richness_census"] == {"2,2": 12, "3,3": 8}
+
+
+def test_triples_cli_exits_1_when_the_line_table_disagrees(tmp_path, capsys, monkeypatch):
+    s_file = str(tmp_path / "s.txt")
+    run(capsys, "gen", "ap:a=0,d=1,n=3", "--out", s_file)
+    monkeypatch.setattr(IncidenceTable, "triple_count", lambda self: 47)
+    code, out = run(capsys, "triples", s_file, s_file, s_file)
+    assert code == 1
+    payload = json.loads(out)
+    assert (payload["triples"], payload["table_triple_count"]) == (48, 47)
 
 
 def test_triples_cli_on_singleton_grids(tmp_path, capsys):

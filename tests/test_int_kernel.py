@@ -278,6 +278,9 @@ def _census_by_determinant(c, b):
 
 @given(_sets(2, max_size=4), st.booleans())
 @settings(max_examples=80, deadline=None)
+@example((ArithSet(range(5)), ArithSet(range(2, 7))), False)
+@example((ArithSet(range(5), p=13), ArithSet(range(2, 7), p=13)), False)
+@example((ArithSet([0, Fraction(1, 2), 1, 3, 4]), ArithSet([0])), True)
 def test_dyadic_census_matches_pairs_of_points(pair, same):
     c, b = pair
     if same:
@@ -636,6 +639,36 @@ def test_one_minus_x_solutions_match_elementwise_pairs(case):
     want = sum(1 for a1 in d.elements for a2 in d.elements if a1 - a2 == one - x)
     assert popdiff.one_minus_x_solutions(x, d) == want
     assert popdiff.one_minus_x_solutions(1, d) == len(d)
+
+
+def _witness_solutions_min(witness, other):
+    """The fewest distinct solution pairs (y, x*) of 1 - x = y(1 - x*) over
+    the witnesses (f1, f2, s) of x, with c' run over ``other``, y = (f2 + c')
+    / (f2 + s) and x* = (f1 + c')/(f2 + c'), in field arithmetic."""
+    counts = [
+        len({((f2 + t) / (f2 + s), (f1 + t) / (f2 + t)) for t in other.elements if f2 + t})
+        for f1, f2, s in witness.values()
+    ]
+    return min(counts, default=0)
+
+
+# |A| <= 9 keeps small the energy E_+((AA)/A) that sumset_energy_bounds also computes.
+@given(_sets(2, min_size=2, max_size=3))
+@settings(max_examples=100, deadline=None)
+@example((ArithSet([1, Fraction(3, 2), 4]), ArithSet([Fraction(-1, 3), 2])))
+@example((ArithSet([1, 2, 3], p=13), ArithSet([3, 5], p=13)))
+def test_sumset_energy_solution_counts_match_elementwise_pairs(pair):
+    b, c = pair
+    a = sumset(b, c)
+    if min(len(b), len(c)) < 2 or a.contains_zero():  # residues can coincide mod p
+        return
+    rep = popdiff.sumset_energy_bounds(a, b, c)
+    ratios = build_ratio_sets(b, c)
+    assert rep.x_solutions_min == _witness_solutions_min(ratios.x_witness, c)
+    assert rep.y_solutions_min == _witness_solutions_min(ratios.y_witness, b)
+    # With 0 outside A = B + C no f2 + c' vanishes: every x has |C| solutions.
+    assert rep.x_solutions_min == (len(c) if ratios.x_witness else 0)
+    assert rep.y_solutions_min == (len(b) if ratios.y_witness else 0)
 
 
 # -- Sidon sets and difference solutions on int keys ----------------------------
