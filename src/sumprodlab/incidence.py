@@ -2,33 +2,34 @@
 
 T(X, Y, Z) is the number of ordered triples of pairwise-distinct
 collinear points (p, q, r) with p in X x X, q in Y x Y, r in Z x Z; it
-is symmetric in the three grids.  The production path takes, for each
-point of one grid, histograms of the directions from it to the points of
-the other grids and counts the pairs of points sharing a direction.
-When two of the grids are equal it walks the third and reads one
-histogram of the repeated grid per point; when all three are equal it
-reads each pair of points once.  The brute-force path enumerates point
-triples and tests the 3x3 determinant, with no directions or hashing.
-When X = Y = Z it tests each unordered triple of distinct points once
-and counts it six times; otherwise it tests every ordered triple.  Both
-are exact and are kept as independent routes for cross-checking.
+is symmetric in the three grids.  The production path counts the
+projective classes [b - a : c - a] of the coordinate triples (a, b, c) in
+X x Y x Z: the first and second coordinates of a collinear triple are two
+such triples with parallel difference vectors, so the sum of the squared
+class sizes, corrected for zero vectors and repeated points by closed
+forms in the set intersections, is T.  It takes |X||Y||Z| keys and builds
+no point.  The brute-force path enumerates point triples and tests the
+3x3 determinant, with no classes or hashing.  When X = Y = Z it tests
+each unordered triple of distinct points once and counts it six times;
+otherwise it tests every ordered triple.  Both are exact and are kept as
+independent routes for cross-checking.
 
 Rational coordinates are scaled by a common denominator so that the hot
 loops run on plain integers; collinearity and richness do not change under
-that scaling.  A rational direction dy/dx (dx > 0) is keyed by the int
-dy * K // dx with K = span², span being the largest minus the smallest
-coordinate of the call: distinct slopes of the grids differ by at least
-1/span², so distinct directions get distinct keys.  Prime-field grids run
-on the ints modulo p that the sets store, with each coordinate difference
-inverted once per call and a direction keyed by its slope mod p.
+that scaling.  A rational slope dy/dx (dx > 0), a ratio of two coordinate
+differences, is keyed by the int dy * K // dx with K = span², span being
+the largest minus the smallest coordinate of the call: distinct such
+slopes differ by at least 1/span², so they get distinct keys.  Prime-field
+grids run on the ints modulo p that the sets store, with each coordinate
+difference inverted once per call and a slope keyed by its value mod p.
 
-The dyadic table counts lines with the same direction histograms: from
-each point P of the union of two grids it reads, per direction, how many
-points of each grid and of their overlap lie after P on that line, and
-these views telescope to one count per line.  The table keeps how many
-lines meeting at least two points of either grid have each exact per-grid
-richness; expanding it reproduces T, and the lines can also be grouped
-into power-of-two richness buckets.
+The dyadic table counts lines with direction histograms on the same slope
+keys: from each point P of the union of two grids it reads, per
+direction, how many points of each grid and of their overlap lie after P
+on that line, and these views telescope to one count per line.  The
+table keeps how many lines meeting at least two points of either grid
+have each exact per-grid richness; expanding it reproduces T, and the
+lines can also be grouped into power-of-two richness buckets.
 
 Every pair-ceiling guard sizes the union of the grids from the value
 sets alone, before any point is built.
@@ -68,13 +69,13 @@ def _union_pairs(value_lists: list[list[int]]) -> int:
 
 
 def _slope_table(value_lists: list[list[int]], p: int | None):
-    """What :func:`_directions` keys slopes with, built once per call.
+    """What :func:`_slope_keys` keys slopes with, built once per call.
 
     Over F_p: pow(d, -1, p) for every nonzero difference d of the
     coordinate values, each computed once.  Over Q: the int K = span², with
     span the largest minus the smallest coordinate value.  A slope dy/dx of
-    two grid points has |dx| <= span, so two distinct slopes differ by at
-    least 1/span², and dy * K // dx (dx > 0) tells them apart.
+    two coordinate differences has |dx| <= span, so two distinct slopes
+    differ by at least 1/span², and dy * K // dx (dx > 0) tells them apart.
     """
     vals = set().union(*value_lists)
     if p is None:
@@ -98,33 +99,26 @@ def _union_points(value_lists: list[list[int]]) -> tuple[list[tuple[int, int]], 
     return points, [masks[pt] for pt in points]
 
 
-def _directions(
-    x1: int, y1: int, vals: list[int], p: int | None, slopes, after: bool
-) -> Counter:
-    """Histogram of the directions from (x1, y1) to the other points of the
-    grid vals x vals, or, with ``after``, to those after it in lexicographic
-    order, keyed through the :func:`_slope_table` ``slopes`` of the call.
-    Over Q (scaled to integers) a direction dy/dx with dx > 0 is keyed by
-    the int dy * K // dx; over F_p by the slope dy * inv(dx) mod p.  The
-    vertical direction is keyed by ``None`` in both fields."""
-    dys = [y - y1 for y in vals]
-    cols = [x2 - x1 for x2 in vals if (x2 > x1 if after else x2 != x1)]
+def _slope_keys(dys: list[int], dxs: list[int], p: int | None, slopes) -> list:
+    """Keys of the slopes dy/dx for every dx in dxs (each > 0 over Q) and dy
+    in dys, dx by dx, through the :func:`_slope_table` ``slopes`` of the
+    call: dy * K // dx over Q (scaled to integers), dy * inv(dx) mod p over
+    F_p."""
     if p is None:
         scaled = [d * slopes for d in dys]
-        neg = [-d for d in scaled]
-        keys = []
-        for dx in cols:
-            if dx > 0:
-                keys += [d // dx for d in scaled]
-            else:  # the direction (-dy, -dx)
-                dx = -dx
-                keys += [d // dx for d in neg]
-        hist = Counter(keys)
-    else:
-        ws = [slopes[dx % p] for dx in cols]
-        hist = Counter([d * w % p for w in ws for d in dys])
+        return [d // dx for dx in dxs for d in scaled]
+    ws = [slopes[dx % p] for dx in dxs]
+    return [d * w % p for w in ws for d in dys]
+
+
+def _directions(x1: int, y1: int, vals: list[int], p: int | None, slopes) -> Counter:
+    """Histogram of the directions from (x1, y1) to the points of the grid
+    vals x vals after it in lexicographic order, keyed by
+    :func:`_slope_keys`; the vertical direction is keyed by ``None``."""
+    dxs = [x2 - x1 for x2 in vals if x2 > x1]
+    hist = Counter(_slope_keys([y - y1 for y in vals], dxs, p, slopes))
     if x1 in vals:  # the column of (x1, y1) itself
-        hist[None] = sum(1 for d in dys if (d > 0 if after else d))
+        hist[None] = sum(1 for y in vals if y > y1)
     return hist
 
 
@@ -134,23 +128,25 @@ def collinear_triples(
     z: ArithSet,
     pair_ceiling: int | None = DEFAULT_PAIR_CEILING,
 ) -> int:
-    """T(X, Y, Z) by counting directions from each point of one grid.
+    """T(X, Y, Z) from the ratio classes of the coordinate triples.
 
-    From a point P of X x X, the pairs (Q, R) of Y x Y and Z x Z that are
-    collinear with P and distinct from it share a direction from P.  So T
-    sums g*h over every P and direction, where g and h count the points of
-    Y x Y and Z x Z in that direction, less the pairs with Q = R: the
-    points of (Y x Y) ∩ (Z x Z) other than P.
+    The points (a, a'), (b, b'), (c, c') are collinear exactly when the
+    vectors (b - a, c - a) and (b' - a', c' - a') are parallel or one of
+    them is zero.  The first and second coordinates range over X x Y x Z
+    independently, so with N(k) the number of (a, b, c) whose vector has
+    the projective class k = [b - a : c - a], W = |X||Y||Z| and
+    Z0 = |X ∩ Y ∩ Z| zero vectors, the ordered solutions number
 
-    T is symmetric in its grids.  When exactly two of them are equal, the
-    walk runs over the points P of the third, and the c points of the
-    repeated grid in one direction from P give c(c-1) ordered pairs (Q, R)
-    with Q != R: one histogram per point, and no join of two.
+        S = sum_k N(k)^2 + 2 Z0 W - Z0^2.
 
-    When X = Y = Z, a line through k points holds k(k-1)(k-2) triples, and
-    its i-th point in lexicographic order has k - i of them after it; the
-    sum of c(c-1) over those counts c is a third of k(k-1)(k-2), so each
-    pair of points is looked at once instead of twice.
+    Every triple with a repeated point is collinear, and with I_XY =
+    |X ∩ Y| and so on,
+
+        T = S - (I_XY^2 |Z|^2 + I_YZ^2 |X|^2 + I_XZ^2 |Y|^2 - 2 Z0^2).
+
+    The classes with c != a are counted one a at a time on the keys of
+    :func:`_slope_keys`, with the vector negated where c < a; the class
+    [1 : 0] (c = a, b != a) holds I_XZ |Y| - Z0 triples.
     """
     if not (len(x) and len(y) and len(z)):
         raise ValueError("all three sets must be nonempty")
@@ -158,27 +154,18 @@ def collinear_triples(
     _guard("line hashing over point pairs", _union_pairs(values), pair_ceiling)
     slopes = _slope_table(values, p)
     v0, v1, v2 = values
-    total = 0
-    if v0 == v1 or v1 == v2 or v0 == v2:
-        # T is symmetric in its grids: walk the one that is not repeated,
-        # or any one when all three are equal.
-        odd, pair = (v2, v0) if v0 == v1 else (v0, v1) if v1 == v2 else (v1, v0)
-        after = odd == pair
-        for x1 in odd:
-            for y1 in odd:
-                hist = _directions(x1, y1, pair, p, slopes, after)
-                total += sum(c * (c - 1) for c in hist.values())
-        return 3 * total if after else total
-    common = set(v1) & set(v2)
-    for x1 in v0:
-        for y1 in v0:
-            g = _directions(x1, y1, v1, p, slopes, False)
-            h = _directions(x1, y1, v2, p, slopes, False)
-            # Only shared directions contribute; a miss in a Counter costs
-            # a Python-level __missing__ call.
-            total += sum(g[d] * h[d] for d in g.keys() & h.keys())
-            total -= len(common) ** 2 - (x1 in common and y1 in common)
-    return total
+    classes: Counter = Counter()
+    for a in v0:
+        dys = [b - a for b in v1]
+        classes.update(_slope_keys(dys, [c - a for c in v2 if c > a], p, slopes))
+        classes.update(_slope_keys([-d for d in dys], [a - c for c in v2 if c < a], p, slopes))
+    s0, s1, s2 = map(set, values)
+    i01, i12, i02, z0 = len(s0 & s1), len(s1 & s2), len(s0 & s2), len(s0 & s1 & s2)
+    n0, n1, n2 = map(len, values)
+    unkeyed = i02 * n1 - z0  # the class [1 : 0]
+    solutions = sum(n * n for n in classes.values()) + unkeyed**2 + 2 * z0 * n0 * n1 * n2 - z0**2
+    repeated = (i01 * n2) ** 2 + (i12 * n0) ** 2 + (i02 * n1) ** 2 - 2 * z0**2
+    return solutions - repeated
 
 
 def _determinant_hits(dx: int, dy: int, offsets: list[tuple[int, int]], p: int | None) -> int:
@@ -238,8 +225,9 @@ def sextuple_collinearity_count(
     of the collinearity determinant of the grid points (a, a'), (b, b'),
     (c, c'), so the total includes every coincident triple and the
     nondegenerate count keeps pairwise-distinct points only.  The
-    nondegenerate count is cross-checked against the direction-histogram
-    route and a mismatch raises, since the two must agree exactly.
+    nondegenerate count is cross-checked against the ratio-class route of
+    :func:`collinear_triples` and a mismatch raises, since the two must
+    agree exactly.
     """
     if len(a) == 0:
         raise ValueError("set must be nonempty")
@@ -248,7 +236,7 @@ def sextuple_collinearity_count(
     check = collinear_triples(a, a, a)
     if check != nondeg:
         raise RouteDisagreement(
-            f"route disagreement: line grouping gave {check}, enumeration {nondeg}"
+            f"route disagreement: ratio classes gave {check}, enumeration {nondeg}"
         )
     # Every triple of the m = |A|^2 points with a repeated point is
     # collinear, and m^3 - m(m-1)(m-2) = 3m^2 - 2m of them repeat one.
@@ -329,11 +317,11 @@ def dyadic_table(
     # The classes of the after-P views, per grid-membership mask of P.
     views = {mask: Counter() for mask in (1, 2, 3)}
     for (x1, y1), mask in zip(points, masks):
-        hf = hs = hb = _directions(x1, y1, first, p, slopes, True)
+        hf = hs = hb = _directions(x1, y1, first, p, slopes)
         only_s = ()  # directions with points of B x B and none of C x C
         if not same:
-            hs = _directions(x1, y1, second, p, slopes, True)
-            hb = _directions(x1, y1, common, p, slopes, True)
+            hs = _directions(x1, y1, second, p, slopes)
+            hb = _directions(x1, y1, common, p, slopes)
             only_s = hs.keys() - hf.keys()
         tally = views[mask]
         tally.update(zip(hf.values(), map(hs.get, hf, repeat(0)), map(hb.get, hf, repeat(0))))

@@ -436,16 +436,6 @@ def sumset_energy_bounds(
     ratios = build_ratio_sets(b, c)
     x_set, y_set = ratios.x_set, ratios.y_set
 
-    # Solutions of 1 - x = y(1 - x*) per witness (f1, f2, s) of x: vary c'
-    # over C.  The scale y = (f2 + c')/(f2 + s) fixes c', so they number the
-    # c' with f2 + c' != 0, counted on the ints of the sets.
-    (bs, cs), _, p = _int_values([b, c])
-
-    def _solutions_min(witness, first, firsts, others):
-        negs = {-v % p for v in others} if p else {-v for v in others}
-        short = {el for el, v in zip(first.elements, firsts) if v in negs}
-        return min((len(others) - (f2 in short) for _, f2, _ in witness.values()), default=0)
-
     energy, _ = ratio_quotient_energy(a, ceiling)
     floor_x = len(a) * len(x_set) * len(c)
     floor_y = len(a) * len(y_set) * len(b)
@@ -458,6 +448,7 @@ def sumset_energy_bounds(
         floor_y=floor_y,
         holds_x=energy >= floor_x,
         holds_y=energy >= floor_y,
-        x_solutions_min=_solutions_min(ratios.x_witness, b, bs, cs),
-        y_solutions_min=_solutions_min(ratios.y_witness, c, cs, bs),
+        # f2 + c' lies in A, which holds no 0, so each c' solves 1 - x = y(1 - x*).
+        x_solutions_min=len(c) if ratios.x_witness else 0,
+        y_solutions_min=len(b) if ratios.y_witness else 0,
     )

@@ -356,7 +356,7 @@ def popular_ratio_check(
 def sextuple_check(
     a: ArithSet, ceiling: int | None = DEFAULT_BRUTE_CEILING
 ) -> CheckRecord:
-    """Sextuple-equation count against the direction-histogram route, exactly."""
+    """Sextuple-equation count against the ratio-class route, exactly."""
     try:
         # The count is cross-checked against collinear_triples inside.
         total, nondeg = sextuple_collinearity_count(a, ceiling)
@@ -471,8 +471,9 @@ def ratio_set_bounds_check(b: ArithSet, c: ArithSet | None = None) -> CheckRecor
     """
     if c is None:
         c = b
-    # Line hashing guards its pair ceiling up front, so counting the triples
-    # first refuses an oversized instance before the B^3 walk.
+    # The triple count guards its pair ceiling before it keys any class, so
+    # counting the triples first refuses an oversized instance before the
+    # B^3 walk.
     t_bbc = collinear_triples(b, b, negate(c))
     t_ccb = t_bbc if c == b else collinear_triples(c, c, negate(b))
     ratios = build_ratio_sets(b, c)

@@ -125,7 +125,28 @@ def test_containment_adjacency_matches_pair_membership(pair):
         assert nbhd == ArithSet((b for b in elems if (elems[i] + b) in target), p=basis.p)
 
 
+def _grids(p, *value_lists):
+    return tuple(ArithSet(vals, p=p) for vals in value_lists)
+
+
 @given(_sets(3, max_size=4), st.sampled_from(["distinct", "y=z", "x=y", "x=y=z"]))
+# X ∩ Y ∩ Z = {5, 6} inside three pairwise overlaps: T = 1580 over Q, 1728 over F_31.
+@example(_grids(None, range(1, 7), range(3, 9), range(5, 11)), "distinct")
+@example(_grids(31, range(1, 7), range(3, 9), range(5, 11)), "distinct")
+# Pairwise overlaps with no element common to all three.
+@example(_grids(None, [0, 1, 2], [2, 3, 4], [4, 5, 0]), "distinct")
+@example(_grids(3, [0, 1], [1, 2], [2, 0]), "distinct")
+# Disjoint grids.
+@example(_grids(None, [0, 1], [2, Fraction(7, 2)], [-5, 9]), "distinct")
+@example(_grids(31, [0, 1], [2, 3], [5, 7]), "distinct")
+# Singleton grids: three points, and one point against two grids.
+@example(_grids(None, [0], [1], [2]), "distinct")
+@example(_grids(2, [0], [1], [0, 1]), "distinct")
+@example(_grids(31, [4], [0, 1, 2], [1, 3]), "distinct")
+# One value a shared by all three and no other overlap: the other grids'
+# points on the row and the column of (a, a).
+@example(_grids(None, [0, 1], [0, 2], [0, 3]), "distinct")
+@example(_grids(3, [0], [0, 1], [0, 2]), "distinct")
 @settings(max_examples=150, deadline=None)
 def test_collinear_triples_match_brute_force(triple, sharing):
     x, y, z = triple
@@ -136,6 +157,15 @@ def test_collinear_triples_match_brute_force(triple, sharing):
     elif sharing == "x=y=z":
         y = z = x
     assert collinear_triples(x, y, z) == collinear_triples_brute(x, y, z)
+
+
+def test_collinear_triples_build_no_points(monkeypatch):
+    grids = {p: _grids(p, range(1, 7), range(3, 9), range(5, 11)) for p in (None, 31)}
+    want = {p: collinear_triples_brute(*g) for p, g in grids.items()}
+    monkeypatch.setattr(incidence, "_directions", _refuse)
+    monkeypatch.setattr(incidence, "_union_points", _refuse)
+    got = {p: collinear_triples(*g) for p, g in grids.items()}
+    assert got == want == {None: 1580, 31: 1728}
 
 
 def _distinct_pair_in(p, max_size):
@@ -161,20 +191,21 @@ def test_repeated_grid_triples_match_brute_force_in_every_position(pair):
 
 
 def _slope_histogram(vals, point):
-    """The directions from ``point`` to the other points of vals x vals,
-    grouped by their slope as a ``Fraction`` (``None`` for the vertical)."""
+    """The directions from ``point`` to the points of vals x vals after it in
+    lexicographic order, grouped by their slope as a ``Fraction`` (``None``
+    for the vertical)."""
     x1, y1 = point
     return Counter(
         None if x2 == x1 else Fraction(y2 - y1, x2 - x1)
         for x2 in vals
         for y2 in vals
-        if (x2, y2) != point
+        if (x2, y2) > point
     )
 
 
 def _int_key_histogram(vals, point):
     slopes = incidence._slope_table([vals], None)
-    return incidence._directions(*point, vals, None, slopes, False)
+    return incidence._directions(*point, vals, None, slopes)
 
 
 def test_slope_key_separates_the_closest_slopes():
@@ -190,16 +221,15 @@ def test_slope_key_separates_the_closest_slopes():
 
 
 def test_slope_key_merges_equal_slopes():
-    # From the origin, (2, 4), (3, 6), (-2, -4) and (-3, -6) lie on the line
-    # of slope 2, and (2, -3), (4, -6), (-2, 3) and (-4, 6) on the line of
-    # slope -3/2, with dx of either sign.
+    # After the origin, (2, 4) and (3, 6) lie on the line of slope 2, and
+    # (2, -3) and (4, -6) on the line of slope -3/2, each with two values of dx.
     vals = [-6, -4, -3, -2, 0, 2, 3, 4, 6]
     hist = _int_key_histogram(vals, (0, 0))
     want = _slope_histogram(vals, (0, 0))
-    assert want[Fraction(2)] == 4 and want[Fraction(-3, 2)] == 4
+    assert want[Fraction(2)] == 2 and want[Fraction(-3, 2)] == 2
     assert len(hist) == len(want)
     assert sorted(hist.values()) == sorted(want.values())
-    assert hist[None] == want[None] == len(vals) - 1
+    assert hist[None] == want[None] == 4
 
 
 def _ordered_collinear_triples(a):
