@@ -53,7 +53,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test."""
     if n < 2:
         return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for small in _MR_BASES:
         if n == small:
             return True
         if n % small == 0:

@@ -11,25 +11,28 @@ for the arithmetic layer, the degenerate-free ratio sets X and Y built
 from a pair (B, C), and the lower bound E_+(YX) >= N |Y| |R| obtained by
 generating explicit additive quadruples (y, yx, y a1, y a2).
 
-The ratio walks run on plain ints.  Over Q the sets are scaled to one
-common denominator and each ratio is keyed on its reduced int pair
-(num, den), with the sign on num; over F_p each nonzero denominator is
-inverted once and a ratio is keyed on its residue.  ``Fraction`` and
-``Residue`` objects are built only for the distinct values, in canonical
-order after a sort on the int keys.  The solutions of 1 - x = a1 - a2, of
-1 - x = y(1 - x*) and the quadruples of the energy floor are counted on
-plain ints too.  The identity battery of :mod:`sumprodlab.verify` checks
-both identities on cross-multiplied ints; the two ``*_identity_holds``
-functions here are the same checks on field elements.
+One walk, :func:`_ratio_counts`, counts the ratios (f1 + s)/(f2 + s) over
+a full first^2 x second: the collision count Q reads it on B^3, and the
+ratio sets X and Y, their tuple totals and their collision counts read it
+on B^2 x C and C^2 x B.  It runs on plain ints and counts keys, keeping no
+generating tuple.  Over Q the sets are scaled to one common denominator
+and each ratio is keyed on its reduced int pair (num, den), with the sign
+on num; over F_p each nonzero denominator is inverted once and a ratio is
+keyed on its residue.  ``Fraction`` and ``Residue`` objects are built only
+for the distinct values, in canonical order after a sort on the int keys.
+The solutions of 1 - x = a1 - a2, of 1 - x = y(1 - x*) and the quadruples
+of the energy floor are counted on plain ints too.  The identity battery
+of :mod:`sumprodlab.verify` checks both identities on cross-multiplied
+ints; the two ``*_identity_holds`` functions here are the same checks on
+field elements.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from math import gcd
-from typing import NamedTuple
 
 from .field import OutsideDomain, coerce_element
 from .sets import (
@@ -111,10 +114,14 @@ def _quotients(x: int, divisors: list[tuple], p: int | None) -> list:
     return [(x + w) * inv % p if inv else None for w, inv in divisors]
 
 
-def _ordered_set(elements, p: int | None) -> ArithSet:
-    """The set of distinct field elements given in canonical order."""
-    values = elements if p is None else (e.value for e in elements)
-    return ArithSet._from_values(values, p, ordered=True)
+def _ratio_counts(first: ArithSet, second: ArithSet) -> tuple[Counter, _Keys]:
+    """The number of tuples of first^2 x second giving each key of
+    (f1 + s)/(f2 + s), with the tuples whose f2 + s vanishes counted under
+    ``None``, and the :class:`_Keys` that reads the keys."""
+    (fs, ss), _, p = _int_values([first, second])
+    divisors = _divisors(fs, ss, p)
+    keys = Counter(chain.from_iterable(_quotients(u, divisors, p) for u in fs))
+    return keys, _Keys(p, None)
 
 
 def build_popular_ratios(
@@ -158,14 +165,13 @@ def build_popular_ratios(
         triples_total += len(shared)
     quotient = _Keys(p, None)
     multiplicity = {quotient.value(key): keys[key] for key in quotient.sort(keys)}
+    ratios = ArithSet._from_values(quotient.ordered(keys), p, ordered=True)
 
-    # The collision count runs over the B^3 ratio values (b2 + b)/(b1 + b),
-    # counted by key: the divisors above are all the b1 + b.
-    walk = Counter(chain.from_iterable(_quotients(u, divisors, p) for u in vals))
+    # The collision count runs over the B^3 ratio values (b2 + b)/(b1 + b).
+    walk, _ = _ratio_counts(b, b)
     skipped = walk.pop(None, 0)
     collision_count = energy_from_counts(walk)
 
-    ratios = _ordered_set(multiplicity, p)
     total = sum(multiplicity.values())
     cs_ok = total * total <= len(ratios) * collision_count
     # A/A is built only for a nonempty R, and A keeps it.
@@ -309,16 +315,14 @@ class RatioSets:
     """X = {(b1+c)/(b2+c)} and Y = {(c1+b)/(c2+b)} with degenerates removed.
 
     The values 0 and 1 are excluded, as are tuples with a vanishing
-    denominator; the witness maps record the lexicographically first
-    generating tuple of each surviving value.  ``total_x`` counts the
+    denominator; both are counted in ``skipped_x``.  ``total_x`` counts the
     surviving generating tuples of X and ``collisions_x`` is
-    Q_X = sum over x of (tuples giving x)^2; likewise for Y.
+    Q_X = sum over x of (tuples giving x)^2; likewise for Y.  The tuples
+    are counted by key, so no generating tuple is kept.
     """
 
     x_set: ArithSet
     y_set: ArithSet
-    x_witness: dict = field(repr=False)
-    y_witness: dict = field(repr=False)
     skipped_x: int = 0
     skipped_y: int = 0
     total_x: int = 0
@@ -327,55 +331,17 @@ class RatioSets:
     collisions_y: int = 0
 
 
-class _RatioWalk(NamedTuple):
-    """One walk over first^2 x second: the number of tuples giving each value
-    (f1 + s)/(f2 + s), the first generating tuple of each value, and the
-    tuples dropped for a vanishing denominator f2 + s.  Both maps run over
-    the values in canonical order."""
-
-    counts: dict
-    witness: dict
-    skipped: int
-
-
-def _ratio_walk(first: ArithSet, second: ArithSet) -> _RatioWalk:
-    (fs, ss), _, p = _int_values([first, second])
-    m = len(ss)
-    divisors = _divisors(fs, ss, p)
-    keys: Counter = Counter()
-    # Key -> (i, position in row i) of its first tuple: row i runs over
-    # (f2, s) for the i-th f1, all in canonical order, so the first row a
-    # key shows up in holds its first tuple.  Built from the reversed row,
-    # a dict keeps each key's first position in that row.
-    at: dict = {}
-    for i, u in enumerate(fs):
-        row = _quotients(u, divisors, p)
-        keys.update(row)
-        firsts = dict(zip(reversed(row), range(len(row) - 1, -1, -1)))
-        for key in firsts.keys() - at.keys():
-            at[key] = (i, firsts[key])
+def _directed_ratios(first: ArithSet, second: ArithSet) -> tuple[ArithSet, int, int, int]:
+    """The ratio set {(f1 + s)/(f2 + s)} over first^2 x second without the
+    values 0 and 1, with its tuple total, its collision count and the
+    skipped tuples: those with a vanishing f2 + s or giving 0 or 1."""
+    keys, quotient = _ratio_counts(first, second)
     skipped = keys.pop(None, 0)
-    f_el, s_el = first.elements, second.elements
-    counts = {}
-    witness = {}
-    # In canonical order, so that the ratio sets need no sort of their own.
-    quotient = _Keys(p, None)
-    for key in quotient.sort(keys):
-        i, pos = at[key]
-        val = quotient.value(key)
-        counts[val] = keys[key]
-        witness[val] = (f_el[i], f_el[pos // m], s_el[pos % m])
-    return _RatioWalk(counts, witness, skipped)
-
-
-def _directed_ratios(first: ArithSet, second: ArithSet) -> _RatioWalk:
-    """The ratio walk with the degenerate values 0 and 1 moved to ``skipped``."""
-    walk = _ratio_walk(first, second)
-    skipped = walk.skipped
-    for degenerate in (coerce_element(0, first.p), coerce_element(1, first.p)):
-        skipped += walk.counts.pop(degenerate, 0)
-        walk.witness.pop(degenerate, None)
-    return walk._replace(skipped=skipped)
+    # 0 and 1 key as the pairs (0, 1) and (1, 1) over Q, as 0 and 1 over F_p.
+    for degenerate in ((0, 1), (1, 1)) if quotient.p is None else (0, 1):
+        skipped += keys.pop(degenerate, 0)
+    values = ArithSet._from_values(quotient.ordered(keys), quotient.p, ordered=True)
+    return values, sum(keys.values()), energy_from_counts(keys), skipped
 
 
 def build_ratio_sets(b: ArithSet, c: ArithSet) -> RatioSets:
@@ -383,20 +349,18 @@ def build_ratio_sets(b: ArithSet, c: ArithSet) -> RatioSets:
     if len(b) < 2 or len(c) < 2:
         raise OutsideDomain("both sets need at least two elements")
     require_same_mode(b, c)
-    x = _directed_ratios(b, c)
+    x_set, total_x, collisions_x, skipped_x = x = _directed_ratios(b, c)
     # With C = B the two walks coincide tuple for tuple.
-    y = x if c == b else _directed_ratios(c, b)
+    y_set, total_y, collisions_y, skipped_y = x if c == b else _directed_ratios(c, b)
     return RatioSets(
-        x_set=_ordered_set(x.witness, b.p),
-        y_set=_ordered_set(y.witness, b.p),
-        x_witness=x.witness,
-        y_witness=y.witness,
-        skipped_x=x.skipped,
-        skipped_y=y.skipped,
-        total_x=sum(x.counts.values()),
-        total_y=sum(y.counts.values()),
-        collisions_x=energy_from_counts(x.counts),
-        collisions_y=energy_from_counts(y.counts),
+        x_set=x_set,
+        y_set=y_set,
+        skipped_x=skipped_x,
+        skipped_y=skipped_y,
+        total_x=total_x,
+        total_y=total_y,
+        collisions_x=collisions_x,
+        collisions_y=collisions_y,
     )
 
 
@@ -405,9 +369,9 @@ class SumsetEnergyBound:
     """E_+((A A)/A) against |A||X||C| and |A||Y||B| for A = B + C.
 
     Each x in X admits |C| solutions to 1 - x = y (1 - x*) by varying the
-    second C-coordinate of its witness (y in Y or y = 1 when the variation
-    repeats the original tuple); the solution pairs are distinct, which is
-    what makes the floors exact rather than asymptotic.
+    second C-coordinate of a generating tuple (y in Y or y = 1 when the
+    variation repeats the original tuple); the solution pairs are distinct,
+    which is what makes the floors exact rather than asymptotic.
     """
 
     a_size: int
@@ -449,6 +413,6 @@ def sumset_energy_bounds(
         holds_x=energy >= floor_x,
         holds_y=energy >= floor_y,
         # f2 + c' lies in A, which holds no 0, so each c' solves 1 - x = y(1 - x*).
-        x_solutions_min=len(c) if ratios.x_witness else 0,
-        y_solutions_min=len(b) if ratios.y_witness else 0,
+        x_solutions_min=len(c) if x_set else 0,
+        y_solutions_min=len(b) if y_set else 0,
     )

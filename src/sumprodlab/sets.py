@@ -141,9 +141,11 @@ class ArithSet:
         return iter(self.elements)
 
     def __contains__(self, x) -> bool:
+        """Whether ``x`` is an element.  An element of another field, a
+        rational with no residue mod p, or any other object is not."""
         try:
             return _canonical(x, self.p) in self._index
-        except (ModeMismatchError, TypeError, ValueError):
+        except (ModeMismatchError, TypeError, ValueError, ZeroDivisionError):
             return False
 
     def __eq__(self, other):
@@ -312,10 +314,11 @@ class PairCounts(Mapping):
 
     The counts are kept on the int keys of the pair kernel (:class:`_Keys`).
     A lookup encodes its key: an int, a ``Fraction`` or (over F_p) a
-    ``Residue`` of the same modulus.  A rational off the kernel's lattice,
-    an element of another field, a ``str`` or any other object reads as
-    missing.  ``values()`` reads the stored counts, and only iterating over
-    the keys builds field elements, one per distinct value.
+    ``Residue`` of the same modulus.  A rational off the kernel's lattice
+    or, over F_p, with no residue mod p, an element of another field, a
+    ``str`` or any other object reads as missing.  ``values()`` reads the
+    stored counts, and only iterating over the keys builds field elements,
+    one per distinct value.
     """
 
     __slots__ = ("_counts", "_keys")
@@ -347,7 +350,7 @@ class PairCounts(Mapping):
         if not isinstance(x, str):
             try:
                 got = self._counts.get(self._keys.key(_canonical(x, self.p)))
-            except (ModeMismatchError, TypeError, ValueError):
+            except (ModeMismatchError, TypeError, ValueError, ZeroDivisionError):
                 pass
         if got is None:
             raise KeyError(x)

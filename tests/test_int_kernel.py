@@ -378,6 +378,12 @@ def test_prime_field_membership_index_and_zero(p, values, probe):
         with pytest.raises(KeyError):
             s.index_of(probe)
     assert s.contains_zero() == any(not e for e in elems)
+    # A rational whose denominator p divides has no residue: it reads as missing.
+    off = Fraction(probe if probe % p else probe + 1, p)
+    assert off not in s
+    t = ArithSet([*values, 1], p=p)
+    counts = representation_function(t, t, "plus")
+    assert counts.get(off) is None and off not in counts
 
 
 @given(st.sets(VALUES, max_size=6), VALUES)
@@ -443,22 +449,28 @@ def _with_vanishing(pair, mirror):
     return first, second
 
 
+def _degenerate(p):
+    """The ratio values 0 and 1, which the ratio sets leave out."""
+    return {Fraction(0), Fraction(1)} if p is None else {Residue(0, p), Residue(1, p)}
+
+
+def _kept_witnesses(first, second):
+    """The first generating tuple of each ratio value other than 0 and 1."""
+    _, witness, _ = _walk_by_elements(first, second)
+    return {val: w for val, w in witness.items() if val not in _degenerate(first.p)}
+
+
 def _check_walk(first, second):
-    counts, witness, skipped = _walk_by_elements(first, second)
-    walk = popdiff._ratio_walk(first, second)
-    assert walk.counts == counts
-    assert walk.witness == witness
-    assert walk.skipped == skipped
+    counts, _, skipped = _walk_by_elements(first, second)
+    keys, quotient = popdiff._ratio_counts(first, second)
+    assert keys.pop(None, 0) == skipped
+    assert {quotient.value(key): n for key, n in keys.items()} == counts
     if len(first) < 2 or len(second) < 2:
         return
     rs = build_ratio_sets(first, second)
-    degenerate = {Fraction(0), Fraction(1)} if first.p is None else {
-        Residue(0, first.p),
-        Residue(1, first.p),
-    }
+    degenerate = _degenerate(first.p)
     kept = {val: n for val, n in counts.items() if val not in degenerate}
     assert rs.x_set == ArithSet(kept, p=first.p)
-    assert rs.x_witness == {val: witness[val] for val in kept}
     assert rs.skipped_x == skipped + sum(counts.get(val, 0) for val in degenerate)
     assert rs.total_x == sum(kept.values())
     assert rs.collisions_x == sum(n * n for n in kept.values())
@@ -693,12 +705,13 @@ def test_sumset_energy_solution_counts_match_elementwise_pairs(pair):
     if min(len(b), len(c)) < 2 or a.contains_zero():  # residues can coincide mod p
         return
     rep = popdiff.sumset_energy_bounds(a, b, c)
-    ratios = build_ratio_sets(b, c)
-    assert rep.x_solutions_min == _witness_solutions_min(ratios.x_witness, c)
-    assert rep.y_solutions_min == _witness_solutions_min(ratios.y_witness, b)
+    x_witness = _kept_witnesses(b, c)
+    y_witness = _kept_witnesses(c, b)
+    assert rep.x_solutions_min == _witness_solutions_min(x_witness, c)
+    assert rep.y_solutions_min == _witness_solutions_min(y_witness, b)
     # With 0 outside A = B + C no f2 + c' vanishes: every x has |C| solutions.
-    assert rep.x_solutions_min == (len(c) if ratios.x_witness else 0)
-    assert rep.y_solutions_min == (len(b) if ratios.y_witness else 0)
+    assert rep.x_solutions_min == (len(c) if x_witness else 0)
+    assert rep.y_solutions_min == (len(b) if y_witness else 0)
 
 
 # -- Sidon sets and difference solutions on int keys ----------------------------
