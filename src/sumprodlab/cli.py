@@ -60,9 +60,12 @@ def _cmd_gen(args) -> int:
     if args.seed is not None:
         spec = type(spec)(kind=spec.kind, params=spec.params, seed=args.seed)
     a = generate(spec)
-    p = _field_mode(args.field)
-    if p is not None and a.p is None:
-        a = ArithSet(a.elements, p=p)
+    if args.field is not None:
+        p = _field_mode(args.field)
+        if a.p is None and p is not None:
+            a = ArithSet(a.elements, p=p)
+        elif a.p != p:
+            raise ValueError(f"family {args.spec!r} lies in {a.mode}, not in --field {args.field}")
     _write(dumps_set(a), args.out)
     return 0
 

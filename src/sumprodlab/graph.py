@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import math
 import statistics
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import compress
 
 from .field import FieldElement, OutsideDomain
-from .sets import _ROWS, _ROWS_MOD, ArithSet, _int_values, _pair_rows, require_same_mode
+from .energy import representation_function
+from .sets import ArithSet, _pair_rows, require_same_mode
 
 
 class ContainmentGraph:
@@ -103,9 +103,6 @@ class LKProfile:
     def k_float(self) -> float:
         return math.sqrt(self.k_squared)
 
-    def identity_holds(self) -> bool:
-        return self.density == 1 / (self.l_value * self.k_squared)
-
     def richness_threshold(self) -> int:
         """Default rich-pair threshold ceil(L^-2 K^-3 |A|^{1/2}) = ceil(e^2/|B|^3)."""
         return math.ceil(Fraction(self.edges**2, self.basis_size**3))
@@ -156,8 +153,6 @@ def gowers_extract(graph: ContainmentGraph, epsilon) -> GowersExtract:
     threshold = epsilon * alpha * alpha * n / 2
     size_floor = alpha * n / 2
 
-    best_success = None  # (size, pivot index)
-    best_any = None  # (bad_fraction, -size, pivot index)
     results = {}
     adjacency = graph.adjacency
     for v in range(n):
@@ -175,13 +170,14 @@ def gowers_extract(graph: ContainmentGraph, epsilon) -> GowersExtract:
         beta = Fraction(bad, size * size)
         ok = size >= size_floor and beta <= epsilon
         results[v] = (size, beta, ok)
-        if ok and (best_success is None or size > results[best_success][0]):
-            best_success = v
-        key = (beta, -size)
-        if best_any is None or key < (results[best_any][1], -results[best_any][0]):
-            best_any = v
 
-    chosen = best_success if best_success is not None else best_any
+    def rank(v):
+        # The largest successful neighborhood, else the least
+        # (bad_fraction, -size); max keeps the first pivot of a tie.
+        size, beta, ok = results[v]
+        return (True, size) if ok else (False, -beta, size)
+
+    chosen = max(results, key=rank)
     size, beta, ok = results[chosen]
     return GowersExtract(
         pivot=graph.basis.elements[chosen],
@@ -246,21 +242,18 @@ def difference_solution_report(
     b1 - b2 = a - a' -- that is, r_{A-A}(b1 - b2) -- and compare with the
     pair's common neighborhood.
 
-    r_{A-A} is counted and looked up on plain ints: A and the subset scaled
-    to their common denominator over Q, residues over F_p.  The rows keep
-    the field elements of the subset.
+    r_{A-A} is the representation function of :mod:`sumprodlab.energy`,
+    read at b1 - b2.
     """
     # index_of raises KeyError if subset is not within B.
     indices = [graph.basis.index_of(x) for x in subset]
-    (a_vals, s_vals), _, p = _int_values([graph.target, subset])
-    minus = (_ROWS if p is None else _ROWS_MOD)["minus"]
-    differences = Counter(chain.from_iterable(minus(x, a_vals, p) for x in a_vals))
+    differences = representation_function(graph.target, graph.target, "minus", ceiling=None)
     rows = []
     injection_ok = True
     at_tau = 0
-    for b1, i, row in zip(subset, indices, (minus(x, s_vals, p) for x in s_vals)):
-        for b2, j, key in zip(subset, indices, row):
-            solutions = differences.get(key, 0)
+    for b1, i in zip(subset, indices):
+        for b2, j in zip(subset, indices):
+            solutions = differences.get(b1 - b2, 0)
             common = graph.common_neighbors(i, j)
             if solutions < common:
                 injection_ok = False

@@ -21,7 +21,8 @@ differences, is keyed by the int dy * K // dx with K = span², span being
 the largest minus the smallest coordinate of the call: distinct such
 slopes differ by at least 1/span², so they get distinct keys.  Prime-field
 grids run on the ints modulo p that the sets store, with each coordinate
-difference inverted once per call and a slope keyed by its value mod p.
+difference inverted once per call through the F_p inverse table of
+:mod:`sumprodlab.sets`, and a slope keyed by its value mod p.
 
 The dyadic table counts lines with direction histograms on the same slope
 keys: from each point P of the union of two grids it reads, per
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, repeat
 
-from .sets import ArithSet, _guard, _int_values, require_same_mode
+from .sets import ArithSet, _guard, _int_values, _inverses, require_same_mode
 
 #: Ceiling on the number of pairs of union grid points a line count covers.
 DEFAULT_PAIR_CEILING = 100_000_000
@@ -71,19 +72,18 @@ def _union_pairs(value_lists: list[list[int]]) -> int:
 def _slope_table(value_lists: list[list[int]], p: int | None):
     """What :func:`_slope_keys` keys slopes with, built once per call.
 
-    Over F_p: pow(d, -1, p) for every nonzero difference d of the
-    coordinate values, each computed once.  Over Q: the int K = span², with
-    span the largest minus the smallest coordinate value.  A slope dy/dx of
-    two coordinate differences has |dx| <= span, so two distinct slopes
-    differ by at least 1/span², and dy * K // dx (dx > 0) tells them apart.
+    Over F_p: the :func:`sumprodlab.sets._inverses` table of the
+    differences d of the coordinate values, each inverted once.  Over Q:
+    the int K = span², with span the largest minus the smallest coordinate
+    value.  A slope dy/dx of two coordinate differences has |dx| <= span,
+    so two distinct slopes differ by at least 1/span², and dy * K // dx
+    (dx > 0) tells them apart.
     """
     vals = set().union(*value_lists)
     if p is None:
         span = max(vals) - min(vals)
         return span * span
-    diffs = {(u - v) % p for u in vals for v in vals}
-    diffs.discard(0)
-    return {d: pow(d, -1, p) for d in diffs}
+    return _inverses(((u - v) % p for u in vals for v in vals), p)
 
 
 def _union_points(value_lists: list[list[int]]) -> tuple[list[tuple[int, int]], list[int]]:

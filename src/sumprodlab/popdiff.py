@@ -15,11 +15,11 @@ One walk, :func:`_ratio_counts`, counts the ratios (f1 + s)/(f2 + s) over
 a full first^2 x second: the collision count Q reads it on B^3, and the
 ratio sets X and Y, their tuple totals and their collision counts read it
 on B^2 x C and C^2 x B.  It runs on plain ints and counts keys, keeping no
-generating tuple.  Over Q the sets are scaled to one common denominator
-and each ratio is keyed on its reduced int pair (num, den), with the sign
-on num; over F_p each nonzero denominator is inverted once and a ratio is
-keyed on its residue.  ``Fraction`` and ``Residue`` objects are built only
-for the distinct values, in canonical order after a sort on the int keys.
+generating tuple.  The keys are the quotient keys of
+:mod:`sumprodlab.sets` (``_divisors``, ``_quotients`` and ``_Keys``), the
+same ones that key the ratio sets there.  ``Fraction`` and ``Residue``
+objects are built only for the distinct values, in canonical order after
+a sort on the int keys.
 The solutions of 1 - x = a1 - a2, of 1 - x = y(1 - x*) and the quadruples
 of the energy floor are counted on plain ints too.  The identity battery
 of :mod:`sumprodlab.verify` checks both identities on cross-multiplied
@@ -32,15 +32,17 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from math import gcd
 
 from .field import OutsideDomain, coerce_element
 from .sets import (
     DEFAULT_ELEMENT_CEILING,
     ArithSet,
+    _canonical,
+    _divisors,
     _guard,
     _int_values,
     _Keys,
+    _quotients,
     product_set,
     ratio_set,
     require_same_mode,
@@ -90,37 +92,15 @@ def guard_collision_ceiling(b: ArithSet, ceiling: int | None) -> None:
     _guard("collision count over B^3 ratio values", len(b) ** 3, ceiling)
 
 
-def _divisors(ys: list[int], ws: list[int], p: int | None) -> list[tuple]:
-    """y + w for each (y, w) of ys x ws in order, ready for :func:`_quotients`:
-    over Q as (w, sign, |y + w|), over F_p as (w, inverse of y + w), each
-    inverse computed once.  A vanishing y + w ends in 0."""
-    if p is None:
-        return [(w, (d > 0) - (d < 0), abs(d)) for y in ys for w in ws for d in (y + w,)]
-    sums = [(w, (y + w) % p) for y in ys for w in ws]
-    inverse = {d: pow(d, -1, p) for d in {d for _, d in sums} if d}
-    inverse[0] = 0
-    return [(w, inverse[d]) for w, d in sums]
-
-
-def _quotients(x: int, divisors: list[tuple], p: int | None) -> list:
-    """The key of (x + w)/(y + w) for each prepared divisor: the reduced int
-    pair (num, den) with den > 0 over Q, the residue over F_p, and ``None``
-    where y + w vanishes."""
-    if p is None:
-        return [
-            (sign * (n := x + w) // (g := gcd(n, d)), d // g) if d else None
-            for w, sign, d in divisors
-        ]
-    return [(x + w) * inv % p if inv else None for w, inv in divisors]
-
-
 def _ratio_counts(first: ArithSet, second: ArithSet) -> tuple[Counter, _Keys]:
     """The number of tuples of first^2 x second giving each key of
     (f1 + s)/(f2 + s), with the tuples whose f2 + s vanishes counted under
     ``None``, and the :class:`_Keys` that reads the keys."""
     (fs, ss), _, p = _int_values([first, second])
-    divisors = _divisors(fs, ss, p)
+    # A vanishing f2 + s reads as 0; each stands for |first| tuples.
+    divisors = [(w, [dv for dv in row if dv]) for w, row in _divisors(fs, ss, p)]
     keys = Counter(chain.from_iterable(_quotients(u, divisors, p) for u in fs))
+    keys[None] = len(fs) * (len(fs) * len(ss) - sum(len(row) for _, row in divisors))
     return keys, _Keys(p, None)
 
 
@@ -149,9 +129,8 @@ def build_popular_ratios(
 
     pairs = rich_pairs(graph, tau, within=subset)
     (vals,), _, p = _int_values([b])
-    n = len(vals)
-    # Row i holds the divisors b1 + bk for b1 = b_i; a common neighbor bk
-    # of b1 puts b1 + bk in A, so none of them vanishes.
+    # Group k holds the divisors b + bk over b in B; a common neighbor bk of
+    # b1 = b_i puts b_i + bk in A, so no divisor picked here vanishes.
     divisors = _divisors(vals, vals, p)
     keys: Counter = Counter()
     triples_total = 0
@@ -159,8 +138,7 @@ def build_popular_ratios(
         i = b.index_of(b1)
         j = b.index_of(b2)
         mask = graph.adjacency[i] & graph.adjacency[j]
-        row = divisors[i * n : (i + 1) * n]
-        shared = [row[k] for k in range(n) if mask >> k & 1]
+        shared = [(w, row[i : i + 1]) for k, (w, row) in enumerate(divisors) if mask >> k & 1]
         keys.update(_quotients(vals[j], shared, p))
         triples_total += len(shared)
     quotient = _Keys(p, None)
@@ -337,9 +315,8 @@ def _directed_ratios(first: ArithSet, second: ArithSet) -> tuple[ArithSet, int, 
     skipped tuples: those with a vanishing f2 + s or giving 0 or 1."""
     keys, quotient = _ratio_counts(first, second)
     skipped = keys.pop(None, 0)
-    # 0 and 1 key as the pairs (0, 1) and (1, 1) over Q, as 0 and 1 over F_p.
-    for degenerate in ((0, 1), (1, 1)) if quotient.p is None else (0, 1):
-        skipped += keys.pop(degenerate, 0)
+    for degenerate in (0, 1):
+        skipped += keys.pop(quotient.key(_canonical(degenerate, quotient.p)), 0)
     values = ArithSet._from_values(quotient.ordered(keys), quotient.p, ordered=True)
     return values, sum(keys.values()), energy_from_counts(keys), skipped
 

@@ -19,6 +19,11 @@ optional header selecting the field::
     17
 
 Comment lines start with ``#``; writers always emit canonical order.
+
+The pair-kernel keys and their decoder :class:`_Keys` live here, with the
+quotient encoder :func:`_quotients` (ratio sets, and the popular ratios and
+X, Y of :mod:`sumprodlab.popdiff`) and the F_p inverse table
+:func:`_inverses` (also the slopes of :mod:`sumprodlab.incidence`).
 """
 
 from __future__ import annotations
@@ -198,10 +203,41 @@ def _canonical(x, p: int | None):
     return coerce_element(x, p).value
 
 
-def _quotient_row(u: int, vs: list, p) -> list:
-    """u / v over Q for each prepared divisor (sign of v, |v|): the reduced
-    pair (num, den) with den > 0.  A common denominator of u and v cancels."""
-    return [(sign * u // (g := gcd(u, d)), d // g) for sign, d in vs]
+def _inverses(ds: Iterable[int], p: int) -> dict[int, int]:
+    """The F_p inverse of each distinct residue of ``ds``, with 0 read as 0:
+    the one place an inverse mod p is computed for a kernel."""
+    return {d: pow(d, -1, p) if d else 0 for d in set(ds)}
+
+
+def _divisors(ys: list[int], ws: list[int], p: int | None) -> list[tuple[int, list]]:
+    """For each w of ws in order, w and the divisors y + w over the ys in
+    order, ready for :func:`_quotients`: over Q as (sign, |y + w|), over
+    F_p as the inverse of y + w, each inverse computed once.  A vanishing
+    y + w reads as 0 in both fields.  Grouped by w, x + w is formed once
+    per w, and a quotient row of the pair kernel (w = 0) pays no addition."""
+    if p is None:
+        return [
+            (w, [(1, d) if d > 0 else (-1, -d) if d else 0 for y in ys for d in (y + w,)])
+            for w in ws
+        ]
+    sums = [[(y + w) % p for y in ys] for w in ws]
+    inverse = _inverses(chain.from_iterable(sums), p)
+    return [(w, [inverse[d] for d in row]) for w, row in zip(ws, sums)]
+
+
+def _quotients(x: int, divisors: list[tuple[int, list]], p: int | None) -> list:
+    """The quotient key of (x + w)/(y + w) for each divisor of each w, in
+    order, none of them vanishing: the reduced int pair (num, den) with
+    den > 0 over Q, in which a common denominator of the operands cancels,
+    and the residue over F_p.  x + w is formed once per w."""
+    if p is None:
+        return [
+            (sign * n // (g := gcd(n, d)), d // g)
+            for w, row in divisors
+            for n in (x + w,)
+            for sign, d in row
+        ]
+    return [n * inv % p for w, row in divisors for n in (x + w,) for inv in row]
 
 
 #: Row builders of the pair kernel: (u, row of t, p) -> keys of u op v.
@@ -209,7 +245,6 @@ _ROWS = {
     "plus": lambda u, vs, p: [u + v for v in vs],
     "minus": lambda u, vs, p: [u - v for v in vs],
     "times": lambda u, vs, p: [u * v for v in vs],
-    "divide": _quotient_row,
 }
 _ROWS_MOD = {
     "plus": lambda u, vs, p: [(u + v) % p for v in vs],
@@ -231,7 +266,7 @@ class _Keys(NamedTuple):
     the operands are ints over a common denominator D: a sum or a
     difference is keyed by its value times ``scale`` = D, a product by its
     value times ``scale`` = D², and a quotient (``scale`` ``None``) by its
-    reduced int pair (num, den) with den > 0.
+    reduced int pair (num, den) with den > 0 (:func:`_quotients`).
     """
 
     p: int | None
@@ -281,28 +316,20 @@ def _pair_rows(
     or after u, the diagonal first.
 
     ``op`` is one of ``plus``, ``minus``, ``times``, ``divide``; ``divide``
-    skips zero divisors.  Every pair costs plain-int operations only.  In
-    F_p each divisor is inverted once and the rows multiply by the
-    inverses.  Over Q s and t are scaled once to ints over their common
-    denominator, and a quotient costs one gcd.
+    skips zero divisors.  Every pair costs plain-int operations only, on
+    the coordinates of :func:`_int_values`.  A quotient row is
+    :func:`_quotients` over the nonzero v as divisors of w = 0: over Q it
+    costs one gcd, in F_p each divisor is inverted once.
     """
-    if op not in _ROWS:
+    if op != "divide" and op not in _ROWS:
         raise ValueError(f"unknown operation {op!r}")
-    p = s.p
-    if p is None:
-        scaled, d = _scaled_values([s] if t is s else [s, t])
-        xs, ys = scaled[0], scaled[-1]  # one list when t is s
-        keys = _Keys(None, None if op == "divide" else d * d if op == "times" else d)
-        if op == "divide":
-            ys = [(1, v) if v > 0 else (-1, -v) for v in ys if v]
-        row = _ROWS[op]
+    values, d, p = _int_values([s] if t is s else [s, t])
+    xs, ys = values[0], values[-1]  # one list when t is s
+    keys = _Keys(p, None if p is not None or op == "divide" else d * d if op == "times" else d)
+    if op == "divide":
+        ys, row = _divisors([v for v in ys if v], [0], p), _quotients
     else:
-        xs, ys = s._values, t._values
-        keys = _Keys(p, None)
-        if op == "divide":
-            ys = [pow(v, -1, p) for v in ys if v]
-            op = "times"
-        row = _ROWS_MOD[op]
+        row = (_ROWS if p is None else _ROWS_MOD)[op]
     if upper:
         return (row(u, ys[i:], p) for i, u in enumerate(xs)), keys
     return (row(u, ys, p) for u in xs), keys
@@ -373,25 +400,19 @@ def require_same_mode(s: ArithSet, *others: ArithSet) -> None:
             raise ModeMismatchError(f"cannot combine sets in modes {s.mode} and {t.mode}")
 
 
-def _scaled_values(sets: list[ArithSet]) -> tuple[list[list[int]], int]:
-    """Common-denominator integer coordinates for rational sets: each set as
-    the ints d·x, in canonical order, and the common denominator d."""
-    scale = math.lcm(*(x.denominator for s in sets for x in s._values))
-    return [[x.numerator * (scale // x.denominator) for x in s._values] for s in sets], scale
-
-
 def _int_values(sets: list[ArithSet]) -> tuple[list[list[int]], int, int | None]:
     """Plain-int coordinates of same-mode sets, the int standing for 1 among
-    them, and their modulus: the values scaled to a common denominator d
-    over Q (1 stands as d, the modulus is ``None``), the stored residues
-    over F_p.  Scaling by a positive int keeps canonical order and every
-    quotient of differences or sums."""
+    them, and their modulus: over Q each set as the ints d·x in canonical
+    order, d the common denominator of all the sets (1 stands as d, the
+    modulus is ``None``); over F_p the stored residues.  Scaling by a
+    positive int keeps canonical order and every quotient of differences
+    or sums."""
     require_same_mode(*sets)
     p = sets[0].p
-    if p is None:
-        values, d = _scaled_values(sets)
-        return values, d, None
-    return [list(s._values) for s in sets], 1, p
+    if p is not None:
+        return [list(s._values) for s in sets], 1, p
+    d = math.lcm(*(x.denominator for s in sets for x in s._values))
+    return [[x.numerator * (d // x.denominator) for x in s._values] for s in sets], d, None
 
 
 def _require_nonempty(*sets: ArithSet) -> None:

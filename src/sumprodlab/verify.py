@@ -1,9 +1,9 @@
 """The verification suite: every check the workbench knows how to run.
 
 Verdict model.  Checks that are exact inequalities or identities (the
-Cauchy-Schwarz chain, the difference-representation injection, the
-quadruple-generator floor, the two ratio identities, route agreement
-between counting paths) are PASS/FAIL, decided in exact arithmetic.
+Cauchy-Schwarz chain, the quadruple-generator floor, the two ratio
+identities, route agreement between counting paths) are PASS/FAIL,
+decided in exact arithmetic.
 Asymptotically phrased claims cannot be pass/fail on one instance, so
 they emit exact ratios per instance plus fitted log-log slopes across
 families, with thresholds defaulting to the claimed exponent plus 0.2

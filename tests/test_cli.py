@@ -42,6 +42,19 @@ def test_gen_prime_field(tmp_path, capsys):
     assert read_set_file(out_file).p == 31
 
 
+def test_gen_refuses_a_field_the_family_does_not_lie_in(tmp_path, capsys):
+    out_file = tmp_path / "f.txt"
+    for field in ("fp:7", "rational"):
+        code = main(["gen", "subgroup:p=31,d=5", "--field", field, "--out", str(out_file)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out_file.exists()
+    code, _ = run(capsys, "gen", "subgroup:p=31,d=5", "--field", "fp:31", "--out", str(out_file))
+    assert code == 0
+    a = read_set_file(str(out_file))
+    assert a.p == 31 and len(a) == 5
+
+
 def test_basis_profile_and_min(tmp_path, capsys):
     a_file = str(tmp_path / "a.txt")
     b_file = str(tmp_path / "b.txt")

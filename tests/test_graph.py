@@ -64,7 +64,7 @@ def test_complete_graph_profile():
     assert g.density == 1
     prof = lk_profile(g)
     assert prof.l_value == Fraction(len(a), len(b) ** 2)
-    assert prof.identity_holds()
+    assert prof.density == 1 / (prof.l_value * prof.k_squared)
 
 
 def test_micro_profile_values():
@@ -72,7 +72,7 @@ def test_micro_profile_values():
     assert prof.l_value == Fraction(3, 7)
     assert prof.k_squared == 3
     assert prof.density == Fraction(7, 9)
-    assert prof.identity_holds()
+    assert prof.density == 1 / (prof.l_value * prof.k_squared)
     assert prof.richness_threshold() == 2  # ceil(49/27)
 
 
@@ -102,7 +102,8 @@ def test_profile_identity_seeded():
         a = ArithSet(rng.sample(range(1, 40), rng.randint(2, 12)))
         g = build_containment_graph(b, a)
         if g.edges:
-            assert lk_profile(g).identity_holds()
+            prof = lk_profile(g)
+            assert prof.density == 1 / (prof.l_value * prof.k_squared)
 
 
 def test_gowers_on_complete_graph():
@@ -112,6 +113,7 @@ def test_gowers_on_complete_graph():
     assert ext.success
     assert ext.bad_fraction == 0
     assert ext.subset == b
+    assert ext.pivot == 0  # every pivot ties, and the first one wins
 
 
 def test_gowers_micro_instance():
@@ -127,6 +129,52 @@ def test_gowers_single_edge_graph():
     ext = gowers_extract(g, Fraction(1, 2))
     assert len(ext.subset) == 1
     assert ext.bad_fraction in (0, 1)
+
+
+def _rescan_pivot(g, epsilon):
+    """The pivot rule spelled out over every pivot: the first of the largest
+    successful neighborhoods, else the first of the least
+    (bad_fraction, -size); also whether the chosen rank is tied."""
+    n = len(g.basis)
+    threshold = epsilon * g.density**2 * n / 2
+    table = []
+    for v in range(n):
+        members = [j for j in range(n) if g.adjacency[v] >> j & 1]
+        if not members:
+            continue
+        bad = sum(1 for i in members for j in members if g.common_neighbors(i, j) < threshold)
+        beta = Fraction(bad, len(members) ** 2)
+        ok = len(members) >= g.density * n / 2 and beta <= epsilon
+        table.append((v, len(members), beta, ok))
+    wins = [row for row in table if row[3]]
+    if wins:
+        top = max(size for _, size, _, _ in wins)
+        tied = [row for row in wins if row[1] == top]
+    else:
+        top = min((beta, -size) for _, size, beta, _ in table)
+        tied = [row for row in table if (row[2], -row[1]) == top]
+    return tied[0], len(tied) > 1
+
+
+@pytest.mark.parametrize("p", [None, 31, 101])
+def test_gowers_pivot_rule_rescans_every_pivot(p):
+    rng = random.Random(5 if p is None else p)
+    hi = 30 if p is None else p
+    ties = 0
+    for _ in range(40):
+        b = ArithSet(rng.sample(range(1, hi), rng.randint(3, 9)), p=p)
+        a = ArithSet(rng.sample(range(1, 2 * hi), rng.randint(3, 14)), p=p)
+        g = build_containment_graph(b, a)
+        if not g.edges:
+            continue
+        epsilon = Fraction(rng.randint(1, 9), 10)
+        (v, _, beta, ok), tied = _rescan_pivot(g, epsilon)
+        ties += tied
+        ext = gowers_extract(g, epsilon)
+        assert ext.pivot == g.basis.elements[v]
+        assert ext.subset == g.neighborhood(v)
+        assert (ext.bad_fraction, ext.success) == (beta, ok)
+    assert ties  # the tie rule is exercised, not only the strict winners
 
 
 def test_gowers_epsilon_validation():
