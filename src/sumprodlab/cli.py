@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from .field import CeilingExceeded, check_prime_modulus
-from .sets import DEFAULT_ELEMENT_CEILING, ArithSet, dumps_set, read_set_file
+from .sets import ArithSet, dumps_set, read_set_file
 from .families import parse_family, generate
 from .graph import build_containment_graph, lk_profile
 from .incidence import (
@@ -124,9 +124,7 @@ def _cmd_decompose(args) -> int:
 def _cmd_popdiff(args) -> int:
     a = read_set_file(args.set)
     b = read_set_file(args.basis)
-    _graph, _profile, extract, cert = _certificate(
-        a, b, Fraction(args.eps), args.tau, DEFAULT_ELEMENT_CEILING
-    )
+    _graph, _profile, extract, cert = _certificate(a, b, Fraction(args.eps), args.tau)
     _emit(
         {
             "ratios": cert.ratios,

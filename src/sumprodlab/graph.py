@@ -127,9 +127,8 @@ class GowersExtract:
     ``subset`` is the neighborhood of ``pivot``; ``bad_fraction`` is the
     exact fraction of ordered pairs (diagonal included) whose common
     neighborhood falls below ``threshold`` = eps * density^2 * |B| / 2.
-    ``success`` requires |subset| >= density*|B|/2 and bad_fraction <= eps.
-    The search scans every pivot and reports the best candidate honestly;
-    failure is a valid outcome, not an error.
+    ``success`` requires |subset| >= density*|B|/2 and bad_fraction <= eps;
+    the pivot is the first of the largest successful neighborhoods.
     """
 
     pivot: FieldElement
@@ -142,7 +141,16 @@ class GowersExtract:
 
 
 def gowers_extract(graph: ContainmentGraph, epsilon) -> GowersExtract:
-    """Search pivot neighborhoods for a large subset with few sparse pairs."""
+    """Search pivot neighborhoods for a large subset with few sparse pairs.
+
+    Some pivot always succeeds.  With alpha the density, the graph being
+    symmetric, sum_v |N(v)|^2 >= e^2/n = alpha^2 n^3, while the sparse
+    pairs inside all neighborhoods together number sum over sparse (i, j)
+    of |N(i) & N(j)| < n^2 threshold = eps alpha^2 n^3 / 2.  So some v has
+    |N(v)|^2 - bad(v)/eps > alpha^2 n^2 / 2, hence |N(v)| > alpha n / 2 and
+    bad(v) < eps |N(v)|^2.  The pivots are walked by (-|N(v)|, v) and the
+    first success is returned.
+    """
     epsilon = Fraction(epsilon)
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie strictly between 0 and 1")
@@ -153,14 +161,13 @@ def gowers_extract(graph: ContainmentGraph, epsilon) -> GowersExtract:
     threshold = epsilon * alpha * alpha * n / 2
     size_floor = alpha * n / 2
 
-    results = {}
     adjacency = graph.adjacency
-    for v in range(n):
+    for v in sorted(range(n), key=lambda v: -adjacency[v].bit_count()):
         mask = adjacency[v]
         members = [j for j in range(n) if mask >> j & 1]
         size = len(members)
-        if size == 0:
-            continue  # empty neighborhoods cannot form a candidate
+        if size < size_floor:
+            break
         bad = 0
         for i in members:
             row = adjacency[i]
@@ -168,26 +175,17 @@ def gowers_extract(graph: ContainmentGraph, epsilon) -> GowersExtract:
                 if (row & adjacency[j]).bit_count() < threshold:
                     bad += 1
         beta = Fraction(bad, size * size)
-        ok = size >= size_floor and beta <= epsilon
-        results[v] = (size, beta, ok)
-
-    def rank(v):
-        # The largest successful neighborhood, else the least
-        # (bad_fraction, -size); max keeps the first pivot of a tie.
-        size, beta, ok = results[v]
-        return (True, size) if ok else (False, -beta, size)
-
-    chosen = max(results, key=rank)
-    size, beta, ok = results[chosen]
-    return GowersExtract(
-        pivot=graph.basis.elements[chosen],
-        subset=graph.neighborhood(chosen),
-        epsilon=epsilon,
-        threshold=threshold,
-        size_floor=size_floor,
-        bad_fraction=beta,
-        success=ok,
-    )
+        if beta <= epsilon:
+            return GowersExtract(
+                pivot=graph.basis.elements[v],
+                subset=graph.neighborhood(v),
+                epsilon=epsilon,
+                threshold=threshold,
+                size_floor=size_floor,
+                bad_fraction=beta,
+                success=True,
+            )
+    raise RuntimeError("no pivot succeeded, against the averaging lemma")
 
 
 def rich_pairs(

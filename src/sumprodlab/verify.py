@@ -7,20 +7,24 @@ decided in exact arithmetic.
 Asymptotically phrased claims cannot be pass/fail on one instance, so
 they emit exact ratios per instance plus fitted log-log slopes across
 families, with thresholds defaulting to the claimed exponent plus 0.2
-slack.  High-precision (113-bit) evaluation is confined to report-only
-columns such as fractional-power bounds; every verdict that can be
-exact is exact.
+slack.  Four report-only fractional-power bounds are evaluated in
+``decimal`` at 35 significant digits (at least 113 bits) and then rounded
+to float: the ``rhs`` of ``ratio_energy``, ``doubling_energy`` and
+``difference_count``, and ``basis_chain``'s ``chain_target_squared``.
+Other float columns (the ``grid_triples`` bound, the shift bound's float
+column, ``cube_root_of_size``, exponents and slope fits) are double
+precision.  Every verdict that can be exact is exact.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 import random
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
-
-import mpmath
 
 from .field import CeilingExceeded, OutsideDomain
 from .sets import (
@@ -43,7 +47,6 @@ from .energy import (
 )
 from .graph import build_containment_graph, gowers_extract, lk_profile
 from .incidence import (
-    DEFAULT_BRUTE_CEILING,
     RouteDisagreement,
     collinear_triples,
     grid_triples_bound_check,
@@ -59,20 +62,26 @@ from .solvers import decomposition_report
 
 #: Largest admissible exponent gain in the ledger chain.
 MAX_GAIN = Fraction(1, 26)
+#: Dense-subset epsilon of the popular-ratio certificate in the suite.
+EPSILON = Fraction(1, 100)
 #: Slack added to claimed exponents when judging fitted slopes.
 SLOPE_SLACK = 0.2
 
 
+#: Context of the report-only bounds: 35 significant digits, at least 113 bits.
+_HP = decimal.Context(prec=35)
+
+
 def _hp(fn) -> float:
-    """Evaluate a report-only quantity at 113-bit precision."""
-    with mpmath.workprec(113):
-        return float(fn(mpmath))
+    """Evaluate a report-only quantity in :data:`_HP`, whatever the caller's
+    decimal context, and round it to float."""
+    with decimal.localcontext(_HP):
+        return float(fn())
 
 
-def _mpf(x, ctx):
-    if isinstance(x, Fraction):
-        return ctx.mpf(x.numerator) / ctx.mpf(x.denominator)
-    return ctx.mpf(x)
+def _dec(x) -> Decimal:
+    """An int or a Fraction as a Decimal of the current context."""
+    return Decimal(x.numerator) / x.denominator
 
 
 @dataclass(frozen=True)
@@ -150,7 +159,7 @@ def stats_record(a: ArithSet, ceiling: int | None = DEFAULT_ELEMENT_CEILING) -> 
 def ratio_energy_check(a: ArithSet, ceiling: int | None = DEFAULT_ELEMENT_CEILING) -> CheckRecord:
     """E_+((AA)/A) against the |A|^{5/2} shape (ratio-only)."""
     energy, quotient = ratio_quotient_energy(a, ceiling)
-    bound = _hp(lambda ctx: ctx.mpf(len(a)) ** ctx.mpf("2.5"))
+    bound = _hp(lambda: Decimal(len(a)) ** Decimal("2.5"))
     return CheckRecord(
         claim="ratio_energy",
         provenance="energy.ratio_quotient_energy",
@@ -187,11 +196,7 @@ def sumset_energy_check(
     )
 
 
-def doubling_energy_check(
-    a: ArithSet,
-    ratio_threshold: float | None = None,
-    ceiling: int | None = DEFAULT_ELEMENT_CEILING,
-) -> CheckRecord:
+def doubling_energy_check(a: ArithSet, ratio_threshold: float | None = None) -> CheckRecord:
     """E_+(A) against M^{14/13} |A|^{32/13} ln^{71/65} |A|.
 
     The bound is evaluated at high precision for the report; a verdict is
@@ -213,15 +218,15 @@ def doubling_energy_check(
             verdict="info",
             details={"trivial": True},
         )
-    energy = additive_energy(a, ceiling)
+    energy = additive_energy(a)
     m = multiplicative_doubling(a)
 
-    def bound(ctx):
-        n = ctx.mpf(len(a))
+    def bound():
+        n = Decimal(len(a))
         return (
-            _mpf(m, ctx) ** (ctx.mpf(14) / 13)
-            * n ** (ctx.mpf(32) / 13)
-            * ctx.log(n) ** (ctx.mpf(71) / 65)
+            _dec(m) ** (Decimal(14) / 13)
+            * n ** (Decimal(32) / 13)
+            * n.ln() ** (Decimal(71) / 65)
         )
 
     rhs = _hp(bound)
@@ -242,7 +247,7 @@ def doubling_energy_check(
     )
 
 
-def _certificate(a, b, epsilon, tau, ceiling):
+def _certificate(a, b, epsilon, tau):
     """The popular-ratio certificate of B (default A) against A, with the
     graph, (L, K) profile and extract it was built from."""
     if a.contains_zero():
@@ -252,20 +257,16 @@ def _certificate(a, b, epsilon, tau, ceiling):
     graph = build_containment_graph(b, a)
     profile = lk_profile(graph)
     # An edgeless graph is undefined whatever its size, so this comes second.
-    guard_collision_ceiling(graph.basis, ceiling)
+    guard_collision_ceiling(graph.basis, DEFAULT_ELEMENT_CEILING)
     extract = gowers_extract(graph, epsilon)
     if tau is None:
         tau = profile.richness_threshold()
-    cert = build_popular_ratios(graph, extract.subset, tau, ceiling)
+    cert = build_popular_ratios(graph, extract.subset, tau)
     return graph, profile, extract, cert
 
 
 def basis_chain_check(
-    a: ArithSet,
-    b: ArithSet | None = None,
-    epsilon=Fraction(1, 100),
-    tau: int | None = None,
-    ceiling: int | None = DEFAULT_ELEMENT_CEILING,
+    a: ArithSet, b: ArithSet | None = None, tau: int | None = None
 ) -> CheckRecord:
     """The full pipeline from a partial basis to the energy floor.
 
@@ -275,20 +276,18 @@ def basis_chain_check(
     N against e^2/|B|^3, the assembled floor e^10 |A| / |B|^17, and
     (L^10 K^17)^2 against |A|^{2c}.
     """
-    graph, profile, extract, cert = _certificate(a, b, epsilon, tau, ceiling)
+    graph, profile, extract, cert = _certificate(a, b, EPSILON, tau)
     b = graph.basis
     # The certificate's A/A, kept on A, is the X of the quadruple floor.
-    x = ratio_set(a, a, ceiling)
-    bound = quadruple_energy_bound(a, x, cert.ratios, ceiling=ceiling)
+    x = ratio_set(a, a, DEFAULT_ELEMENT_CEILING)
+    bound = quadruple_energy_bound(a, x, cert.ratios)
     n_floor = bound.solutions_floor
 
     e = graph.edges
     threshold_exact = Fraction(e * e, len(b) ** 3)
     assembled_floor = Fraction(e**10 * len(a), len(b) ** 17)
     chain_sq = Fraction(len(a) ** 3 * len(b) ** 34, e**20)  # (L^10 K^17)^2
-    target_sq = _hp(
-        lambda ctx: ctx.mpf(len(a)) ** (2 * _mpf(MAX_GAIN, ctx))
-    )
+    target_sq = _hp(lambda: Decimal(len(a)) ** (2 * _dec(MAX_GAIN)))
     exact_ok = (
         bound.holds
         and cert.cauchy_schwarz_ok
@@ -325,14 +324,10 @@ def basis_chain_check(
 
 
 def popular_ratio_check(
-    a: ArithSet,
-    b: ArithSet | None = None,
-    tau: int | None = None,
-    epsilon=Fraction(1, 100),
-    ceiling: int | None = DEFAULT_ELEMENT_CEILING,
+    a: ArithSet, b: ArithSet | None = None, tau: int | None = None
 ) -> CheckRecord:
     """Certificate-only check: conservation and Cauchy-Schwarz, exactly."""
-    graph, _profile, _extract, cert = _certificate(a, b, epsilon, tau, ceiling)
+    graph, _profile, _extract, cert = _certificate(a, b, EPSILON, tau)
     total = cert.multiplicity_sum
     ok = cert.conservation_ok and cert.cauchy_schwarz_ok and cert.within_target_ratios
     return CheckRecord(
@@ -353,13 +348,11 @@ def popular_ratio_check(
     )
 
 
-def sextuple_check(
-    a: ArithSet, ceiling: int | None = DEFAULT_BRUTE_CEILING
-) -> CheckRecord:
+def sextuple_check(a: ArithSet) -> CheckRecord:
     """Sextuple-equation count against the ratio-class route, exactly."""
     try:
         # The count is cross-checked against collinear_triples inside.
-        total, nondeg = sextuple_collinearity_count(a, ceiling)
+        total, nondeg = sextuple_collinearity_count(a)
     except RouteDisagreement as exc:
         return CheckRecord(
             claim="sextuple_count",
@@ -433,9 +426,7 @@ def shift_bound_check(a: ArithSet) -> CheckRecord:
     )
 
 
-def difference_count_check(
-    a: ArithSet, b: ArithSet | None = None, gain: Fraction = MAX_GAIN
-) -> CheckRecord:
+def difference_count_check(a: ArithSet, b: ArithSet | None = None) -> CheckRecord:
     """sigma_A(B) against |B|^2 |A|^{-c/10} (ratio-only, hypothesis-flagged)."""
     if b is None:
         b = a
@@ -444,10 +435,7 @@ def difference_count_check(
     differences = representation_function(b, b, "minus", ceiling=None)
     hypothesis_ok = all(x in differences for x in a)
     value = sum(differences.get(x, 0) for x in a)
-    rhs = _hp(
-        lambda ctx: ctx.mpf(len(b)) ** 2
-        * ctx.mpf(len(a)) ** (-_mpf(gain, ctx) / 10)
-    )
+    rhs = _hp(lambda: Decimal(len(b)) ** 2 * Decimal(len(a)) ** (-_dec(MAX_GAIN) / 10))
     return CheckRecord(
         claim="difference_count",
         provenance="energy.sigma",
@@ -457,7 +445,7 @@ def difference_count_check(
         rhs=rhs,
         ratio=value / rhs,
         verdict="info",
-        details={"hypothesis_ok": hypothesis_ok, "gain": gain},
+        details={"hypothesis_ok": hypothesis_ok, "gain": MAX_GAIN},
     )
 
 
@@ -605,13 +593,12 @@ def decomposition_check(a: ArithSet) -> CheckRecord:
     )
 
 
-def exponent_chain_check(gain=MAX_GAIN) -> CheckRecord:
-    """Exact rational exponent bookkeeping; boundary reproduces 1/2 + 1/442."""
-    ledger = exponent_ledger(gain)
-    expected = Fraction(1, 2) + Fraction(gain) / 17
-    ok = ledger.basis_exponent == expected
-    if ledger.at_boundary:
-        ok = ok and ledger.basis_exponent == Fraction(1, 2) + Fraction(1, 442)
+def exponent_chain_check() -> CheckRecord:
+    """Exact rational exponent bookkeeping at the boundary gain, which
+    reproduces 1/2 + 1/442."""
+    ledger = exponent_ledger(MAX_GAIN)
+    expected = Fraction(1, 2) + MAX_GAIN / 17
+    ok = ledger.at_boundary and ledger.basis_exponent == expected == Fraction(1, 2) + Fraction(1, 442)
     return CheckRecord(
         claim="exponent_chain",
         provenance="verify.exponent_ledger",

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sumprodlab.sets import ArithSet, sumset
 from sumprodlab.energy import sigma
@@ -175,6 +177,38 @@ def test_gowers_pivot_rule_rescans_every_pivot(p):
         assert ext.subset == g.neighborhood(v)
         assert (ext.bad_fraction, ext.success) == (beta, ok)
     assert ties  # the tie rule is exercised, not only the strict winners
+
+
+@given(
+    st.sampled_from([None, 31, 101]),
+    st.lists(st.integers(1, 60), min_size=1, max_size=10),
+    st.lists(st.integers(1, 120), min_size=1, max_size=14),
+    st.fractions(0, 1, max_denominator=100).filter(lambda e: 0 < e < 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_gowers_extract_succeeds_by_the_averaging_lemma(p, bs, xs, epsilon):
+    g = build_containment_graph(ArithSet(bs, p=p), ArithSet(xs, p=p))
+    assume(g.edges)
+    n, e, alpha = len(g.basis), g.edges, g.density
+    threshold = epsilon * alpha**2 * n / 2
+    sparse = [
+        (i, j) for i in range(n) for j in range(n) if g.common_neighbors(i, j) < threshold
+    ]
+    members = [{j for j in range(n) if mask >> j & 1} for mask in g.adjacency]
+    sizes = [len(m) for m in members]
+    # bad(v): the sparse pairs inside N(v); by symmetry v lies in N(i) & N(j).
+    bad = [sum(1 for i, j in sparse if i in m and j in m) for m in members]
+    assert sum(bad) == sum(g.common_neighbors(i, j) for i, j in sparse)
+    assert n * sum(s * s for s in sizes) >= e * e  # sum |N(v)|^2 >= alpha^2 n^3
+    assert sum(bad) < n * n * threshold
+    witnesses = [v for v in range(n) if sizes[v] ** 2 - bad[v] / epsilon > alpha**2 * n**2 / 2]
+    assert witnesses
+    for v in witnesses:
+        assert Fraction(sizes[v]) > alpha * n / 2 and Fraction(bad[v], sizes[v] ** 2) < epsilon
+    ext = gowers_extract(g, epsilon)
+    assert ext.success
+    assert len(ext.subset) >= ext.size_floor and ext.bad_fraction <= epsilon
+    assert len(ext.subset) >= max(sizes[v] for v in witnesses)
 
 
 def test_gowers_epsilon_validation():

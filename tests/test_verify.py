@@ -1,7 +1,11 @@
 """Claim records, the exponent ledger, slope fits, and report output."""
 
+import decimal
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from itertools import islice
@@ -107,6 +111,62 @@ def test_doubling_energy_check():
     assert rec.verdict == "info"
     gated = doubling_energy_check(gp(16), ratio_threshold=100.0)
     assert gated.verdict == "pass"
+
+
+#: The four columns evaluated in decimal, read under mpmath at 113 bits:
+#: the rhs of ratio_energy, doubling_energy and difference_count, and
+#: basis_chain's chain_target_squared, wherever the claim is defined.
+PINNED_BOUNDS = {
+    "gp:q=2,n=12": {
+        "ratio_energy": "498.8306325798367",
+        "doubling_energy": "2469.035455757863",
+        "difference_count": "142.63029977609168",
+        "basis_chain": "1.2106369975822304",
+    },
+    "random:n=20,seed=3": {
+        "doubling_energy": "66491.41669728993",
+        "difference_count": "395.4176309491059",
+    },
+    "subgroup:p=1009,d=28": {
+        "ratio_energy": "4148.538055749278",
+        "doubling_energy": "13589.984270179333",
+        "difference_count": "774.0162352596705",
+    },
+}
+
+
+@pytest.mark.parametrize("spec", sorted(PINNED_BOUNDS))
+def test_report_only_bounds_are_pinned(spec):
+    a = generate(parse_family(spec))
+
+    def columns():
+        out = {}
+        for claim in PINNED_BOUNDS[spec]:
+            rec = run_claim(claim, a)
+            value = rec.details["chain_target_squared"] if claim == "basis_chain" else rec.rhs
+            out[claim] = repr(value)
+        return out
+
+    assert columns() == PINNED_BOUNDS[spec]
+    # The bounds use their own context: the caller's precision and traps
+    # do not reach them.
+    with decimal.localcontext() as ctx:
+        ctx.prec = 5
+        ctx.traps[decimal.Inexact] = True
+        assert columns() == PINNED_BOUNDS[spec]
+
+
+def test_import_loads_only_the_standard_library():
+    code = (
+        "import sys; before = set(sys.modules); import sumprodlab; "
+        "print(*{m.partition('.')[0] for m in set(sys.modules) - before})"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    loaded = set(out.stdout.split())
+    assert "sumprodlab" in loaded
+    assert loaded - {"sumprodlab"} <= sys.stdlib_module_names
 
 
 def test_doubling_energy_threshold_is_outside_the_prime_field_domain():
