@@ -68,16 +68,14 @@ def energy_from_counts(counts: Mapping) -> int:
     return sum(r * r for r in counts.values())
 
 
-def additive_energy(s: ArithSet, ceiling: int | None = DEFAULT_ELEMENT_CEILING) -> int:
+def additive_energy(s: ArithSet) -> int:
     """E_+(S), between |S|^2 and |S|^3."""
-    return energy_from_counts(representation_function(s, s, "plus", ceiling))
+    return energy_from_counts(representation_function(s, s, "plus"))
 
 
-def multiplicative_energy(
-    s: ArithSet, ceiling: int | None = DEFAULT_ELEMENT_CEILING
-) -> int:
+def multiplicative_energy(s: ArithSet) -> int:
     """E_x(S), the product-quadruple count."""
-    return energy_from_counts(representation_function(s, s, "times", ceiling))
+    return energy_from_counts(representation_function(s, s, "times"))
 
 
 def energy_quadruples(s: ArithSet, op: str = "plus") -> int:
@@ -100,16 +98,14 @@ def energy_quadruples(s: ArithSet, op: str = "plus") -> int:
     return count
 
 
-def ratio_quotient_energy(
-    a: ArithSet, ceiling: int | None = DEFAULT_ELEMENT_CEILING
-) -> tuple[int, ArithSet]:
+def ratio_quotient_energy(a: ArithSet) -> tuple[int, ArithSet]:
     """E_+((A*A)/A) together with the materialized quotient set.
 
-    The quotient set can reach |A|^3 elements, so the ceiling applies both
-    to its construction and to the energy pass over it.
+    The quotient set can reach |A|^3 elements, so the element ceiling
+    applies both to its construction and to the energy pass over it.
     """
-    q = aa_over_a(a, ceiling)
-    return additive_energy(q, ceiling), q
+    q = aa_over_a(a)
+    return additive_energy(q), q
 
 
 def sigma(a: ArithSet, b: ArithSet, op: str = "plus") -> int:

@@ -122,12 +122,7 @@ def _directions(x1: int, y1: int, vals: list[int], p: int | None, slopes) -> Cou
     return hist
 
 
-def collinear_triples(
-    x: ArithSet,
-    y: ArithSet,
-    z: ArithSet,
-    pair_ceiling: int | None = DEFAULT_PAIR_CEILING,
-) -> int:
+def collinear_triples(x: ArithSet, y: ArithSet, z: ArithSet) -> int:
     """T(X, Y, Z) from the ratio classes of the coordinate triples.
 
     The points (a, a'), (b, b'), (c, c') are collinear exactly when the
@@ -151,7 +146,7 @@ def collinear_triples(
     if not (len(x) and len(y) and len(z)):
         raise ValueError("all three sets must be nonempty")
     values, _, p = _int_values([x, y, z])
-    _guard("line hashing over point pairs", _union_pairs(values), pair_ceiling)
+    _guard("line hashing over point pairs", _union_pairs(values), DEFAULT_PAIR_CEILING)
     slopes = _slope_table(values, p)
     v0, v1, v2 = values
     classes: Counter = Counter()
@@ -216,9 +211,7 @@ def collinear_triples_brute(
     return total
 
 
-def sextuple_collinearity_count(
-    a: ArithSet, ceiling: int | None = DEFAULT_BRUTE_CEILING
-) -> tuple[int, int]:
+def sextuple_collinearity_count(a: ArithSet) -> tuple[int, int]:
     """Solutions of (a-b)(a'-c') = (a-c)(a'-b') over A^6, by enumeration.
 
     Returns (total, nondegenerate): the equation is exactly the vanishing
@@ -231,7 +224,7 @@ def sextuple_collinearity_count(
     """
     if len(a) == 0:
         raise ValueError("set must be nonempty")
-    _guard("sextuple enumeration", len(a) ** 6, ceiling)
+    _guard("sextuple enumeration", len(a) ** 6, DEFAULT_BRUTE_CEILING)
     nondeg = collinear_triples_brute(a, a, a, ceiling=None)
     check = collinear_triples(a, a, a)
     if check != nondeg:
@@ -290,11 +283,7 @@ class IncidenceTable:
         return s1 == m1 * (m1 - 1) and s2 == m2 * (m2 - 1)
 
 
-def dyadic_table(
-    c: ArithSet,
-    b: ArithSet,
-    pair_ceiling: int | None = DEFAULT_PAIR_CEILING,
-) -> IncidenceTable:
+def dyadic_table(c: ArithSet, b: ArithSet) -> IncidenceTable:
     """Census of every line meeting >= 2 points of C x C or of B x B.
 
     From a union point P, the direction histograms of the points after P
@@ -308,7 +297,7 @@ def dyadic_table(
     if len(c) < 2 and len(b) < 2:
         raise ValueError("at least one of the sets needs two elements")
     values, _, p = _int_values([c, b])
-    _guard("line hashing over point pairs", _union_pairs(values), pair_ceiling)
+    _guard("line hashing over point pairs", _union_pairs(values), DEFAULT_PAIR_CEILING)
     slopes = _slope_table(values, p)
     first, second = values
     same = first == second
@@ -352,15 +341,12 @@ class STBoundReport:
     """Line counts per richness class against min(|C|^4/k^3 + |C|^2/k,
     |B|^4/l^3 + |B|^2/l), for k, l >= 2.
 
-    ``per_class`` uses exact per-line richness; ``per_bucket`` is the
-    power-of-two rollup with k = 2^i, l = 2^j.  ``max_ratio`` over exact
+    ``per_class`` uses exact per-line richness; ``max_ratio`` over those
     classes is the empirical incidence constant of the instance.
     """
 
     per_class: tuple[STClassRatio, ...]
-    per_bucket: tuple[STClassRatio, ...]
     max_ratio: Fraction | None
-    prime_field: bool
 
 
 def _st_bound(c_size: int, b_size: int, k: int, l: int) -> Fraction:
@@ -378,19 +364,10 @@ def st_line_bound_check(table: IncidenceTable) -> STBoundReport:
             continue
         bound = _st_bound(c_size, b_size, k, l)
         per_class.append(STClassRatio(k, l, count, bound, Fraction(count) / bound))
-    per_bucket = []
-    for (i, j), count in sorted(table.dyadic_counts().items()):
-        if i < 1 or j < 1:
-            continue
-        k, l = 1 << i, 1 << j
-        bound = _st_bound(c_size, b_size, k, l)
-        per_bucket.append(STClassRatio(k, l, count, bound, Fraction(count) / bound))
     ratios = [entry.ratio for entry in per_class]
     return STBoundReport(
         per_class=tuple(per_class),
-        per_bucket=tuple(per_bucket),
         max_ratio=max(ratios) if ratios else None,
-        prime_field=table.first.p is not None,
     )
 
 

@@ -87,9 +87,10 @@ class PopDiffCertificate:
         return sum(self.multiplicity.values())
 
 
-def guard_collision_ceiling(b: ArithSet, ceiling: int | None) -> None:
-    """Refuse a collision count over the |B|^3 ratio values above ``ceiling``."""
-    _guard("collision count over B^3 ratio values", len(b) ** 3, ceiling)
+def guard_collision_ceiling(b: ArithSet) -> None:
+    """Refuse a collision count over the |B|^3 ratio values when |B|^3 is
+    above the element ceiling."""
+    _guard("collision count over B^3 ratio values", len(b) ** 3, DEFAULT_ELEMENT_CEILING)
 
 
 def _ratio_counts(first: ArithSet, second: ArithSet) -> tuple[Counter, _Keys]:
@@ -108,7 +109,6 @@ def build_popular_ratios(
     graph: ContainmentGraph,
     subset: ArithSet | None = None,
     tau: int | None = None,
-    ceiling: int | None = DEFAULT_ELEMENT_CEILING,
 ) -> PopDiffCertificate:
     """Build R from rich pairs of ``subset`` and their common neighbors.
 
@@ -125,7 +125,7 @@ def build_popular_ratios(
         subset = b
     if tau is None:
         tau = lk_profile(graph).richness_threshold()
-    guard_collision_ceiling(b, ceiling)
+    guard_collision_ceiling(b)
 
     pairs = rich_pairs(graph, tau, within=subset)
     (vals,), _, p = _int_values([b])
@@ -153,7 +153,7 @@ def build_popular_ratios(
     total = sum(multiplicity.values())
     cs_ok = total * total <= len(ratios) * collision_count
     # A/A is built only for a nonempty R, and A keeps it.
-    within = not len(ratios) or ratios._index <= ratio_set(a, a, ceiling)._index
+    within = not len(ratios) or ratios._index <= ratio_set(a, a, DEFAULT_ELEMENT_CEILING)._index
     return PopDiffCertificate(
         ratios=ratios,
         multiplicity=multiplicity,
@@ -232,7 +232,6 @@ def quadruple_energy_bound(
     x: ArithSet,
     r: ArithSet,
     n: int | None = None,
-    ceiling: int | None = DEFAULT_ELEMENT_CEILING,
 ) -> QuadrupleBound:
     """Check E_+(Y X) >= N |Y| |R| by building the witnessing quadruples.
 
@@ -244,8 +243,8 @@ def quadruple_energy_bound(
     E_+(YX) is computed first: its ceilings are the only ones on this path,
     so an instance they refuse costs no solution counting.
     """
-    yx = product_set(y, x, ceiling)
-    energy = additive_energy(yx, ceiling)
+    yx = product_set(y, x, DEFAULT_ELEMENT_CEILING)
+    energy = additive_energy(yx)
     errors = []
     # X and R on plain ints over one common denominator (residues in F_p).
     (xs, rs), one, p = _int_values([x, r])
@@ -363,12 +362,7 @@ class SumsetEnergyBound:
     y_solutions_min: int
 
 
-def sumset_energy_bounds(
-    a: ArithSet,
-    b: ArithSet,
-    c: ArithSet,
-    ceiling: int | None = DEFAULT_ELEMENT_CEILING,
-) -> SumsetEnergyBound:
+def sumset_energy_bounds(a: ArithSet, b: ArithSet, c: ArithSet) -> SumsetEnergyBound:
     """Energy floors for a verified sumset decomposition A = B + C."""
     if sumset(b, c) != a:
         raise ValueError("A must equal the sumset B + C exactly")
@@ -377,7 +371,7 @@ def sumset_energy_bounds(
     ratios = build_ratio_sets(b, c)
     x_set, y_set = ratios.x_set, ratios.y_set
 
-    energy, _ = ratio_quotient_energy(a, ceiling)
+    energy, _ = ratio_quotient_energy(a)
     floor_x = len(a) * len(x_set) * len(c)
     floor_y = len(a) * len(y_set) * len(b)
     return SumsetEnergyBound(

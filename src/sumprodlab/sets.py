@@ -356,14 +356,16 @@ class PairCounts(Mapping):
             self._counts = Counter(chain.from_iterable(rows))
             return
         # Each pair u != v of the upper rows stands for (u, v) and (v, u);
-        # the diagonal value opens every row and counts once.
+        # the diagonal value opens every row and counts once.  The counts are
+        # doubled in place: a second table would raise the peak memory.
         rows, self._keys = _pair_rows(s, s, op, upper=True)
-        upper = Counter()
+        counts = Counter()
         diagonal = []
         for row in rows:
-            upper.update(row)
+            counts.update(row)
             diagonal.append(row[0])
-        counts = {x: 2 * n for x, n in upper.items()}
+        for x in counts:
+            counts[x] *= 2
         for x in diagonal:
             counts[x] -= 1
         self._counts = counts
@@ -497,19 +499,19 @@ def negate(s: ArithSet) -> ArithSet:
     return _pairwise(_single(s, 0), s, "minus")
 
 
-def aa_over_a(a: ArithSet, ceiling: int | None = DEFAULT_ELEMENT_CEILING) -> ArithSet:
+def aa_over_a(a: ArithSet) -> ArithSet:
     """The quotient set (A*A)/A.
 
-    Size can reach ``|A|^3``; the ceiling (element-pair count) aborts with
-    :class:`CeilingExceeded` instead of exhausting memory.  Requires
-    ``0 not in A`` (:class:`OutsideDomain` otherwise).
+    Size can reach ``|A|^3``; :data:`DEFAULT_ELEMENT_CEILING` (element-pair
+    count) aborts with :class:`CeilingExceeded` instead of exhausting
+    memory.  Requires ``0 not in A`` (:class:`OutsideDomain` otherwise).
     """
     _require_nonempty(a)
     if a.contains_zero():
         raise OutsideDomain("(A*A)/A requires 0 not in A")
-    _guard("product set A*A", len(a) * len(a), ceiling)
+    _guard("product set A*A", len(a) * len(a), DEFAULT_ELEMENT_CEILING)
     prods = product_set(a, a)
-    _guard("quotients (A*A)/A", len(prods) * len(a), ceiling)
+    _guard("quotients (A*A)/A", len(prods) * len(a), DEFAULT_ELEMENT_CEILING)
     return ratio_set(prods, a)
 
 

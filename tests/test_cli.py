@@ -192,6 +192,16 @@ def test_shift_bound_is_undefined_over_a_prime_field(tmp_path, capsys):
     assert "F_29" in record["details"]["error"]
 
 
+def test_difference_count_refuses_a_basis_from_another_field(tmp_path, capsys):
+    g_file, q_file = str(tmp_path / "g.txt"), str(tmp_path / "q.txt")
+    run(capsys, "gen", "subgroup:p=31,d=5", "--out", g_file)
+    run(capsys, "gen", "ap:a=1,d=1,n=6", "--out", q_file)
+    assert main(["verify", g_file, "--suite", "difference_count", "--basis", q_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot combine sets in modes" in captured.err
+
+
 def test_report_cli(tmp_path, capsys):
     out_dir = str(tmp_path / "rep")
     code, _ = run(

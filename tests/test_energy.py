@@ -67,8 +67,12 @@ def test_representation_function_mass():
 
 
 def test_energy_ceiling_guard():
-    with pytest.raises(CeilingExceeded):
-        additive_energy(ArithSet(range(100)), ceiling=50)
+    # 1500^2 pairs are over the element ceiling, refused before the walk.
+    big = ArithSet(range(1500))
+    for energy in (additive_energy, multiplicative_energy):
+        with pytest.raises(CeilingExceeded) as err:
+            energy(big)
+        assert (err.value.requested, err.value.ceiling) == (2_250_000, 2_000_000)
 
 
 @given(small_sets, st.integers(-9, 9).filter(bool), st.integers(-9, 9))

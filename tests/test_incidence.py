@@ -89,8 +89,10 @@ def test_sextuple_matches_grouped_route_seeded():
 
 
 def test_sextuple_ceiling():
-    with pytest.raises(CeilingExceeded):
-        sextuple_collinearity_count(ArithSet(range(9)), ceiling=10**5)
+    # 13^6 is under the brute ceiling, 14^6 over it.
+    with pytest.raises(CeilingExceeded) as err:
+        sextuple_collinearity_count(ArithSet(range(14)))
+    assert (err.value.requested, err.value.ceiling) == (14**6, 5_000_000)
 
 
 def test_dyadic_table_three_by_three():
@@ -141,8 +143,6 @@ def test_st_ratio_worked_values():
     assert entry.bound == Fraction(81, 8) + Fraction(9, 2)  # 117/8
     assert entry.ratio == Fraction(12 * 8, 117)
     assert report.max_ratio == max(e.ratio for e in report.per_class)
-    buckets = {(e.k, e.l): e.lines for e in report.per_bucket}
-    assert buckets[(2, 2)] == 20  # richness 2 and 3 share the dyadic bucket
 
 
 def test_st_classes_far_grids():
@@ -176,9 +176,11 @@ def test_grid_triples_equal_sizes_exponent():
 
 
 def test_pair_ceiling_guard():
-    big = ArithSet(range(40))
-    with pytest.raises(CeilingExceeded):
-        collinear_triples(big, big, big, pair_ceiling=10)
+    # 120^2 = 14,400 grid points make 103,672,800 pairs, over the ceiling.
+    big = ArithSet(range(120))
+    with pytest.raises(CeilingExceeded) as err:
+        collinear_triples(big, big, big)
+    assert (err.value.requested, err.value.ceiling) == (14_400 * 14_399 // 2, 100_000_000)
 
 
 def test_sextuple_total_dominates_nondegenerate():

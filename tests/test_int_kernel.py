@@ -779,18 +779,19 @@ def _refuse(*args, **kwargs):
 @pytest.mark.parametrize("p", [None, 10009])
 def test_pair_ceiling_checked_before_any_point_is_built(monkeypatch, p):
     monkeypatch.setattr(incidence, "_union_points", _refuse)
-    x = ArithSet(range(1, 9), p=p)
-    y = ArithSet(range(5, 13), p=p)
-    z = ArithSet(range(-3, 4), p=p)
-    # |X^2 ∪ Y^2 ∪ Z^2| = 64 + 64 + 49 - 16 - 9 - 0 + 0 = 152 points.
-    m = 152
+    monkeypatch.setattr(incidence, "_slope_table", _refuse)
+    x = ArithSet(range(100), p=p)
+    y = ArithSet(range(50, 150), p=p)
+    z = ArithSet(range(-20, 80), p=p)
+    # |X^2 ∪ Y^2 ∪ Z^2| = 3 * 10,000 - 50^2 - 30^2 - 80^2 + 30^2 = 21,100 points,
+    # which make 21,100 * 21,099 / 2 = 222,594,450 pairs.
     with pytest.raises(CeilingExceeded) as err:
-        collinear_triples(x, y, z, pair_ceiling=100)
-    assert (err.value.requested, err.value.ceiling) == (m * (m - 1) // 2, 100)
-    # |X^2 ∪ Y^2| = 64 + 64 - 16 = 112 points.
+        collinear_triples(x, y, z)
+    assert (err.value.requested, err.value.ceiling) == (222_594_450, 100_000_000)
+    # |X^2 ∪ Y^2| = 2 * 10,000 - 50^2 = 17,500 points: 153,116,250 pairs.
     with pytest.raises(CeilingExceeded) as err:
-        dyadic_table(x, y, pair_ceiling=100)
-    assert (err.value.requested, err.value.ceiling) == (112 * 111 // 2, 100)
+        dyadic_table(x, y)
+    assert (err.value.requested, err.value.ceiling) == (153_116_250, 100_000_000)
 
 
 @pytest.mark.parametrize("p", [None, 10009])

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import pytest
 
 from sumprodlab import incidence, popdiff, sets, verify
-from sumprodlab.field import OutsideDomain
+from sumprodlab.field import ModeMismatchError
 from sumprodlab.sets import ArithSet
 from sumprodlab.families import FamilySpec, generate, parse_family
 from sumprodlab.report import (
@@ -109,8 +109,6 @@ def test_doubling_energy_check():
     assert rec.lhs == 2 * 256 - 16
     assert rec.details["doubling"] == Fraction(31, 16)
     assert rec.verdict == "info"
-    gated = doubling_energy_check(gp(16), ratio_threshold=100.0)
-    assert gated.verdict == "pass"
 
 
 #: The four columns evaluated in decimal, read under mpmath at 113 bits:
@@ -169,11 +167,9 @@ def test_import_loads_only_the_standard_library():
     assert loaded - {"sumprodlab"} <= sys.stdlib_module_names
 
 
-def test_doubling_energy_threshold_is_outside_the_prime_field_domain():
-    # The bound is proved over the reals: no pass or fail on F_p.
+def test_doubling_energy_is_info_over_a_prime_field():
+    # The bound is proved over the reals: an F_p row is reported, not judged.
     a = generate(parse_family("subgroup:p=31,d=6"))
-    with pytest.raises(OutsideDomain):
-        doubling_energy_check(a, ratio_threshold=1.0)
     assert doubling_energy_check(a).verdict == "info"
     assert run_claim("doubling_energy", a).verdict == "info"
 
@@ -348,10 +344,11 @@ def test_build_popular_ratios_ceiling_before_the_rich_pairs(monkeypatch):
     assert refused == (130**3, sets.DEFAULT_ELEMENT_CEILING)
 
 
-def test_identity_battery_small():
-    rec = identity_battery(seed=5, trials=200)
+def test_identity_battery_passes_every_trial():
+    rec = identity_battery(seed=5)
     assert rec.verdict == "pass"
-    assert rec.lhs == rec.rhs == 400
+    assert rec.lhs == rec.rhs == 2 * verify.TRIALS == 20_000
+    assert rec.details["trials_each"] == 10_000
 
 
 @pytest.mark.parametrize("seed", [1, 7, 2024])
@@ -364,7 +361,7 @@ def test_identity_battery_matches_the_element_route(monkeypatch, seed):
             made.append(self)
 
     monkeypatch.setattr(verify, "random", SimpleNamespace(Random=Recording))
-    rec = identity_battery(seed=seed, trials=300)
+    rec = identity_battery(seed=seed)
 
     # The same draws as Fraction elements, through the element-level checks.
     rng = random.Random(seed)
@@ -381,14 +378,14 @@ def test_identity_battery_matches_the_element_route(monkeypatch, seed):
         ),
     ):
         count = 0
-        while count < 300:
+        while count < verify.TRIALS:
             t = [draw() for _ in range(4)]
             if vanishes(*t):
                 continue
             count += 1
             passed += holds(*t)
         done += count
-    assert (rec.lhs, rec.rhs) == (passed, done) == (600, 600)
+    assert (rec.lhs, rec.rhs) == (passed, done) == (20_000, 20_000)
     assert len(made) == 1
     assert made[0].getstate() == rng.getstate()
 
@@ -403,8 +400,44 @@ def test_identity_battery_draws_are_the_randint_draws(seed):
 def test_run_claim_unknown_and_ceiling():
     with pytest.raises(ValueError):
         run_claim("nonsense", fset(1))
-    rec = run_claim("ratio_energy", ArithSet(range(1, 200)), {"ceiling": 100})
+    # |A*A| = 11,067 for A = {1..199}, so (A*A)/A asks for 11,067 * 199 quotients.
+    rec = run_claim("ratio_energy", ArithSet(range(1, 200)))
     assert rec.verdict == "ceiling"
+    assert (rec.lhs, rec.rhs) == (2_202_333, 2_000_000)
+
+
+def _no_walk(*args, **kwargs):
+    raise AssertionError("a pair or point was walked before the ceiling was checked")
+
+
+#: The first refusal of each claim on a 1,500-element progression: its pairs
+#: (1500^2), the pairs of its 1500^2 grid points, or its A^6 sextuples.
+AP_CEILINGS = {
+    "stats": (2_250_000, 2_000_000),
+    "ratio_energy": (2_250_000, 2_000_000),
+    "mult_energy_plus": (2_250_000, 2_000_000),
+    "mult_energy_minus": (2_250_000, 2_000_000),
+    "grid_triples": (2_531_248_875_000, 100_000_000),
+    "sextuple_count": (1500**6, 5_000_000),
+}
+
+
+@pytest.mark.parametrize("claim", sorted(AP_CEILINGS))
+@pytest.mark.parametrize("p", [None, 10009])
+def test_claims_refuse_a_1500_progression_before_any_walk(monkeypatch, claim, p):
+    monkeypatch.setattr(sets, "_pair_rows", _no_walk)
+    monkeypatch.setattr(incidence, "_slope_table", _no_walk)
+    monkeypatch.setattr(incidence, "collinear_triples_brute", _no_walk)
+    rec = run_claim(claim, ArithSet(range(1, 1501), p=p))
+    assert rec.verdict == "ceiling"
+    assert (rec.lhs, rec.rhs) == AP_CEILINGS[claim]
+
+
+@pytest.mark.parametrize("basis", [ArithSet(range(1, 7)), ArithSet(range(1, 7), p=37)])
+def test_difference_count_refuses_a_basis_from_another_field(basis):
+    a = generate(parse_family("subgroup:p=31,d=5"))
+    with pytest.raises(ModeMismatchError):
+        run_claim("difference_count", a, {"basis": basis})
 
 
 def test_fit_loglog_slope_recovers_power():
@@ -418,7 +451,7 @@ def test_fit_loglog_slope_recovers_power():
 def test_all_claims_have_runners():
     a = fset(1, 2, 3)
     for claim in CLAIMS:
-        rec = run_claim(claim, a, {"trials": 20})
+        rec = run_claim(claim, a)
         assert rec.verdict in ("pass", "fail", "info", "ceiling"), claim
 
 
@@ -454,11 +487,11 @@ def test_run_suite_judges_slopes_against_thresholds_only_over_q():
 def test_run_suite_runs_instance_free_claims_once(monkeypatch):
     calls = _counting(monkeypatch, verify, "identity_battery")
     specs = [FamilySpec("gp", {"q": "2", "n": str(n)}) for n in (4, 5, 6)]
-    rows, _summary = run_suite(specs, ["identities", "exponent_chain"], {"trials": 50})
+    rows, _summary = run_suite(specs, ["identities", "exponent_chain"])
     assert len(calls) == 1
     identities = [r for r in rows if r["claim_id"] == "identities"]
     assert sorted(r["instance"] for r in identities) == sorted(s.label() for s in specs)
-    assert {(r["lhs"], r["rhs"], r["verdict"]) for r in identities} == {(100, 100, "pass")}
+    assert {(r["lhs"], r["rhs"], r["verdict"]) for r in identities} == {(20_000, 20_000, "pass")}
 
 
 def test_run_suite_keeps_going_past_an_undefined_row(tmp_path):
@@ -476,7 +509,7 @@ def test_run_suite_writes_every_row_outside_a_claims_domain(tmp_path):
     # 0 is in the progression; the subgroup lives in F_13, where no two of its
     # elements sum into it and the real-number shift bound is not judged.
     ap, subgroup = parse_family("ap:d=3,n=9"), parse_family("subgroup:p=13,d=4")
-    rows, summary = run_suite([ap, subgroup], sorted(CLAIMS), {"trials": 50})
+    rows, summary = run_suite([ap, subgroup], sorted(CLAIMS))
     assert len(rows) == 2 * len(CLAIMS)
     undefined = {(r["instance"], r["claim_id"]) for r in rows if r["verdict"] == "undefined"}
     assert undefined == {
@@ -494,7 +527,7 @@ def test_run_suite_writes_every_row_outside_a_claims_domain(tmp_path):
 
 def test_singleton_rows_needing_two_elements_are_undefined():
     # {1}: 1 + 1 is not in it either, so its containment graph has no edge.
-    rows, _summary = run_suite([parse_family("ap:a=1,d=1,n=1")], sorted(CLAIMS), {"trials": 50})
+    rows, _summary = run_suite([parse_family("ap:a=1,d=1,n=1")], sorted(CLAIMS))
     assert len(rows) == len(CLAIMS)
     undefined = {r["claim_id"] for r in rows if r["verdict"] == "undefined"}
     assert undefined == {
