@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .field import check_prime_modulus
+from .field import check_prime_modulus, least_primitive_root
 from .sets import ArithSet, difference_set, sumset
 
 KINDS = ("gp", "ap", "subgroup", "random", "sumset_of_random", "plus_minus")
@@ -76,28 +76,6 @@ def _int(params: dict, key: str, default=None) -> int:
             raise ValueError(f"family parameter {key!r} is required")
         return int(default)
     return int(params[key])
-
-
-def least_primitive_root(p: int) -> int:
-    check_prime_modulus(p)
-    if p == 2:
-        return 1
-    phi = p - 1
-    factors = []
-    m = phi
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            factors.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        factors.append(m)
-    for g in range(2, p):
-        if all(pow(g, phi // q, p) != 1 for q in factors):
-            return g
-    raise ArithmeticError(f"no primitive root found for {p}")  # unreachable
 
 
 def multiplicative_subgroup(p: int, order: int) -> ArithSet:

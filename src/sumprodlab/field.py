@@ -8,11 +8,17 @@ Two element kinds are supported, and nothing else:
 Every operation in the package is exact; there is no floating point
 anywhere in a computational path.  Floats only ever appear in report
 columns produced by :mod:`sumprodlab.verify`.
+
+The module also holds the least primitive root of F_p* and the
+discrete-log tables to it (:func:`log_tables`), which the F_p bitset route
+of :mod:`sumprodlab.sets` reads for products and quotients.
 """
 
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 
@@ -87,6 +93,49 @@ def check_prime_modulus(p: int) -> int:
         raise ValueError(f"modulus {p!r} is not prime")
     _verified_primes.add(p)
     return p
+
+
+def least_primitive_root(p: int) -> int:
+    """The least generator of F_p* (1 for p = 2)."""
+    check_prime_modulus(p)
+    if p == 2:
+        return 1
+    phi = p - 1
+    factors = []
+    m = phi
+    d = 2
+    while d * d <= m:
+        if m % d == 0:
+            factors.append(d)
+            while m % d == 0:
+                m //= d
+        d += 1
+    if m > 1:
+        factors.append(m)
+    for g in range(2, p):
+        if all(pow(g, phi // q, p) != 1 for q in factors):
+            return g
+    raise ArithmeticError(f"no primitive root found for {p}")  # unreachable
+
+
+@lru_cache(maxsize=4)
+def log_tables(p: int) -> tuple[array, array]:
+    """The discrete-log tables of F_p* to the base g = least_primitive_root(p):
+    ``exp[k]`` = g^k for 0 <= k < p − 1 and ``log[x]`` = k for each nonzero
+    x = g^k (``log[0]`` is 0 and means nothing).  Two flat arrays of the
+    narrowest unsigned type that holds p − 1 (4p bytes in all for
+    p < 2^16), kept for the last few moduli; the callers read them and never
+    write to them."""
+    g = least_primitive_root(p)
+    code = "H" if p <= 1 << 16 else "I" if p <= 1 << 32 else "Q"
+    exp = array(code, [0]) * (p - 1)
+    log = array(code, [0]) * p
+    x = 1
+    for k in range(p - 1):
+        exp[k] = x
+        log[x] = k
+        x = x * g % p
+    return exp, log
 
 
 class Residue:

@@ -19,14 +19,31 @@ import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
+from operator import itemgetter
 
 from .field import FieldElement, OutsideDomain
 from .energy import representation_function
-from .sets import ArithSet, _pair_rows, require_same_mode
+from .sets import ArithSet, _bitset_route, _mask, _pair_rows, require_same_mode
+
+#: ``bytes.translate`` table reading a byte as one binary digit: 0 as "0",
+#: any other byte as "1".
+_DIGIT = bytes([48]) + bytes([49]) * 255
 
 
 class ContainmentGraph:
-    """Symmetric adjacency on (B, B) with edges where pair sums land in A."""
+    """Symmetric adjacency on (B, B) with edges where pair sums land in A.
+
+    Row i is a bitmask over B in canonical order, built on one of the two
+    routes of :mod:`sumprodlab.sets`, picked by its one rule from the
+    operand sizes (|B|, |B|) and the modulus: the bitset route in F_p when
+    |B|² >= p and p <= C·|B| (C = 128, ``sets._BITSET_SPAN``), the pair
+    walk otherwise and always over Q.  On the bitset route row i is one
+    rotate-and-AND of residue masks, (A − b_i) ∩ B (:func:`_rotated_rows`;
+    sums need no log table).  A zero row stays 0 and only a nonzero one is
+    moved to indices of B, so an edgeless graph costs |B| shifts of a
+    2p-bit int instead of |B|² membership tests.  The pair walk tests each
+    sum b_i + b_j against A; it is the oracle of the bitset route.
+    """
 
     __slots__ = ("basis", "target", "adjacency", "edges")
 
@@ -35,21 +52,22 @@ class ContainmentGraph:
             raise ValueError("containment graph requires nonempty sets")
         require_same_mode(basis, target)
         n = len(basis)
-        rows, keys = _pair_rows(basis, basis, "plus")
-        # Over Q a sum of B lies on the lattice of B's common denominator,
-        # so only the values of A on that lattice can be hit.
-        index = target._index if keys.p is not None else {keys.key(v) for v in target._values}
-        masks = []
-        edges = 0
-        # Row i of the pair sums, tested against the keys of A.
-        for row in rows:
-            mask = sum(1 << j for j in compress(range(n), map(index.__contains__, row)))
-            masks.append(mask)
-            edges += mask.bit_count()
+        if _bitset_route(n, n, basis.p):
+            masks = _rotated_rows(basis, target)
+        else:
+            rows, keys = _pair_rows(basis, basis, "plus")
+            # Over Q a sum of B lies on the lattice of B's common denominator,
+            # so only the values of A on that lattice can be hit.
+            index = target._index if keys.p is not None else {keys.key(v) for v in target._values}
+            # Row i of the pair sums, tested against the keys of A.
+            masks = [
+                sum(1 << j for j in compress(range(n), map(index.__contains__, row)))
+                for row in rows
+            ]
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "adjacency", tuple(masks))
-        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "edges", sum(mask.bit_count() for mask in masks))
 
     def __setattr__(self, *args):
         raise AttributeError("ContainmentGraph is immutable")
@@ -68,6 +86,35 @@ class ContainmentGraph:
         return ArithSet._from_values(
             (values[j] for j in range(len(values)) if mask >> j & 1), self.basis.p
         )
+
+
+def _rotated_rows(basis: ArithSet, target: ArithSet) -> list[int]:
+    """The adjacency rows over F_p on the bitset route.
+
+    With the mask of A doubled to 2p bits, bit w of (A_2 >> b) is whether
+    w + b mod p lies in A, for every w < p; ANDed with the mask of B it is
+    the residues of (A − b) ∩ B.  A nonzero row is moved to indices of B
+    in C-level passes: the byte holding each b_j, ANDed with the bit of b_j
+    in it, then each byte read as one binary digit.  The route needs
+    |B|² >= p >= 2, so |B| >= 2 and ``pick`` returns a tuple.
+    """
+    p = basis.p
+    values = basis._values
+    n = len(values)
+    width = (p + 7) // 8
+    inside = _mask(values, p)
+    hits = _mask(target._values, p)
+    hits |= hits << p
+    pick = itemgetter(*(v >> 3 for v in values))
+    own = int.from_bytes(bytes(1 << (v & 7) for v in values), "little")
+    rows = []
+    for b in values:
+        row = hits >> b & inside
+        if row:
+            picked = int.from_bytes(bytes(pick(row.to_bytes(width, "little"))), "little") & own
+            row = int(picked.to_bytes(n, "little").translate(_DIGIT)[::-1], 2)
+        rows.append(row)
+    return rows
 
 
 def build_containment_graph(basis: ArithSet, target: ArithSet) -> ContainmentGraph:
