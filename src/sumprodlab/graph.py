@@ -19,15 +19,11 @@ import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from operator import itemgetter
 
+from .cyclic import indexer, mask
 from .field import FieldElement, OutsideDomain
 from .energy import representation_function
-from .sets import ArithSet, _bitset_route, _mask, _pair_rows, require_same_mode
-
-#: ``bytes.translate`` table reading a byte as one binary digit: 0 as "0",
-#: any other byte as "1".
-_DIGIT = bytes([48]) + bytes([49]) * 255
+from .sets import ArithSet, _bitset_route, _pair_rows, require_same_mode
 
 
 class ContainmentGraph:
@@ -35,14 +31,11 @@ class ContainmentGraph:
 
     Row i is a bitmask over B in canonical order, built on one of the two
     routes of :mod:`sumprodlab.sets`, picked by its one rule from the
-    operand sizes (|B|, |B|) and the modulus: the bitset route in F_p when
-    |B|² >= p and p <= C·|B| (C = 128, ``sets._BITSET_SPAN``), the pair
-    walk otherwise and always over Q.  On the bitset route row i is one
-    rotate-and-AND of residue masks, (A − b_i) ∩ B (:func:`_rotated_rows`;
-    sums need no log table).  A zero row stays 0 and only a nonzero one is
-    moved to indices of B, so an edgeless graph costs |B| shifts of a
-    2p-bit int instead of |B|² membership tests.  The pair walk tests each
-    sum b_i + b_j against A; it is the oracle of the bitset route.
+    operand sizes (|B|, |B|) and the modulus.  On the bitset route row i is
+    one rotate-and-AND of residue masks, (A − b_i) ∩ B (:func:`_rotated_rows`),
+    and only a nonzero row is moved to indices of B, so an edgeless graph
+    costs |B| shifts of a 2p-bit int instead of |B|² membership tests.  The
+    pair walk, the oracle, tests each sum b_i + b_j against A.
     """
 
     __slots__ = ("basis", "target", "adjacency", "edges")
@@ -93,28 +86,16 @@ def _rotated_rows(basis: ArithSet, target: ArithSet) -> list[int]:
 
     With the mask of A doubled to 2p bits, bit w of (A_2 >> b) is whether
     w + b mod p lies in A, for every w < p; ANDed with the mask of B it is
-    the residues of (A − b) ∩ B.  A nonzero row is moved to indices of B
-    in C-level passes: the byte holding each b_j, ANDed with the bit of b_j
-    in it, then each byte read as one binary digit.  The route needs
-    |B|² >= p >= 2, so |B| >= 2 and ``pick`` returns a tuple.
+    the residues of (A − b) ∩ B.  A nonzero row is moved to indices of B by
+    :func:`sumprodlab.cyclic.indexer`, which needs the |B| >= 2 of the route.
     """
     p = basis.p
     values = basis._values
-    n = len(values)
-    width = (p + 7) // 8
-    inside = _mask(values, p)
-    hits = _mask(target._values, p)
+    inside = mask(values, p)
+    hits = mask(target._values, p)
     hits |= hits << p
-    pick = itemgetter(*(v >> 3 for v in values))
-    own = int.from_bytes(bytes(1 << (v & 7) for v in values), "little")
-    rows = []
-    for b in values:
-        row = hits >> b & inside
-        if row:
-            picked = int.from_bytes(bytes(pick(row.to_bytes(width, "little"))), "little") & own
-            row = int(picked.to_bytes(n, "little").translate(_DIGIT)[::-1], 2)
-        rows.append(row)
-    return rows
+    index = indexer(values, p)
+    return [index(row) if (row := hits >> b & inside) else 0 for b in values]
 
 
 def build_containment_graph(basis: ArithSet, target: ArithSet) -> ContainmentGraph:

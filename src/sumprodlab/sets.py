@@ -32,14 +32,10 @@ operand sizes m, n and the modulus alone (:func:`_bitset_route`, which
 F_p, m·n >= p and p <= C·max(m, n), with the crossover constant
 C = :data:`_BITSET_SPAN` = 128; the pair walk otherwise, and always over Q.
 The bitset route (:func:`_rotated`) ORs min(m, n) rotations of one
-operand's bitset: a p-bit mask of residues for sums and differences, a
-(p − 1)-bit mask of discrete logs of the nonzero elements for products and
-quotients, with 0 handled by hand.  The logs come from
-:func:`sumprodlab.field.log_tables`, two int arrays per modulus in a small
-LRU cache.  The result is read back to sorted residues in C-level passes.
-The pair walk stays the route over Q, the only route of every count
-(representation functions and energies), and the oracle of the bitset
-route.
+operand's bitset (:mod:`sumprodlab.cyclic`), of residues for sums and
+differences and of discrete logs (:func:`sumprodlab.field.log_tables`) for
+products and quotients.  The pair walk is the route over Q, the only route
+of every count (representation functions, energies) and the oracle.
 """
 
 from __future__ import annotations
@@ -49,12 +45,11 @@ from bisect import bisect_left
 from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
-from functools import reduce
-from itertools import chain, compress
+from itertools import chain
 from math import gcd
-from operator import or_
 from typing import Iterable, Iterator, NamedTuple
 
+from . import cyclic
 from .field import (
     CeilingExceeded,
     FieldElement,
@@ -470,37 +465,6 @@ def _bitset_route(m: int, n: int, p: int | None) -> bool:
     return p is not None and m * n >= p and p <= _BITSET_SPAN * max(m, n)
 
 
-#: ``bytes.translate`` table taking the digits of ``format(mask, "b")`` to
-#: the 0 and 1 bytes ``itertools.compress`` reads.
-_BITS = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _mask(values: Iterable[int], n: int) -> int:
-    """The int with bit v set for each v of ``values``, all in [0, n)."""
-    digits = bytearray(b"0") * n
-    for v in values:
-        digits[n - 1 - v] = 49  # ord("1")
-    return int(digits, 2)
-
-
-def _members(mask: int) -> list[int]:
-    """The set bits of ``mask`` in increasing order, read from its binary
-    digits in C-level passes."""
-    return list(
-        compress(range(mask.bit_length()), format(mask, "b").encode()[::-1].translate(_BITS))
-    )
-
-
-def _cyclic_sums(xs: list[int], ys: list[int], n: int) -> int:
-    """The mask over Z/n of {x + y mod n : x in xs, y in ys}: the mask of
-    the longer list shifted by each element of the shorter, OR-ed, and
-    folded once mod n, which makes each shift a rotation."""
-    if len(xs) > len(ys):
-        xs, ys = ys, xs
-    acc = reduce(or_, map(_mask(ys, n).__lshift__, xs), 0)
-    return (acc | acc >> n) & ((1 << n) - 1)
-
-
 def _rotated(s: ArithSet, t: ArithSet, op: str) -> list[int]:
     """The bitset route over F_p: the residues of ``s op t`` in canonical
     order, from min(|s|, |t|) rotations of the other operand's bitset.
@@ -513,9 +477,9 @@ def _rotated(s: ArithSet, t: ArithSet, op: str) -> list[int]:
     p = s.p
     xs, ys = s._values, t._values
     if op == "plus":
-        return _members(_cyclic_sums(xs, ys, p))
+        return cyclic.members(cyclic.sums(xs, ys, p))
     if op == "minus":
-        return _members(_cyclic_sums(xs, [-v % p for v in ys], p))
+        return cyclic.members(cyclic.sums(xs, [-v % p for v in ys], p))
     exp, log = log_tables(p)
     n = p - 1
     logs = [log[v] for v in xs if v]
@@ -527,7 +491,7 @@ def _rotated(s: ArithSet, t: ArithSet, op: str) -> list[int]:
         zero = xs[0] == 0 or ys[0] == 0
     out = []
     if logs and others:
-        out = sorted(map(exp.__getitem__, _members(_cyclic_sums(logs, others, n))))
+        out = sorted(map(exp.__getitem__, cyclic.members(cyclic.sums(logs, others, n))))
     return [0, *out] if zero else out
 
 
