@@ -3,6 +3,8 @@
 
 from __future__ import annotations
 
+import sys
+from array import array
 from functools import reduce
 from itertools import compress
 from operator import itemgetter, or_
@@ -12,6 +14,10 @@ from typing import Callable, Iterable
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
 #: ``bytes.translate`` table reading a byte as one digit: 0 as "0", else "1".
 _DIGIT = bytes([48]) + bytes([49]) * 255
+#: The set bits of each byte value, in increasing order.
+_OFFSETS = [tuple(k for k in range(8) if b >> k & 1) for b in range(256)]
+#: ``array`` type codes of unsigned fields by their size in bytes.
+_FIELDS = {array(code).itemsize: code for code in "IHB"}
 
 
 def mask(values: Iterable[int], n: int) -> int:
@@ -23,11 +29,16 @@ def mask(values: Iterable[int], n: int) -> int:
 
 
 def members(bits: int) -> list[int]:
-    """The set bits of ``bits`` in increasing order, read from its binary
-    digits in C-level passes."""
-    return list(
-        compress(range(bits.bit_length()), format(bits, "b").encode()[::-1].translate(_BITS))
-    )
+    """The set bits of ``bits`` in increasing order.  A dense mask is read
+    from its binary digits, at a cost per digit; one with at most a quarter
+    of its digits set is read from its nonzero bytes, at a cost per set bit
+    (on masks of 10,008 bits the two costs met near 40 % set)."""
+    length = bits.bit_length()
+    if 4 * bits.bit_count() > length:
+        return list(compress(range(length), format(bits, "b").encode()[::-1].translate(_BITS)))
+    data = bits.to_bytes((length + 7) // 8, "little")
+    return [8 * i + k for i, b in zip(compress(range(len(data)), data), compress(data, data))
+            for k in _OFFSETS[b]]
 
 
 def sums(xs: list[int], ys: list[int], n: int) -> int:
@@ -53,3 +64,39 @@ def indexer(values: list[int], n: int) -> Callable[[int], int]:
         return int(picked.to_bytes(len(values), "little").translate(_DIGIT)[::-1], 2)
 
     return index
+
+
+def field_bytes(bound: int) -> int:
+    """The bytes of an unsigned field that holds every count up to ``bound``:
+    1, 2 or 4."""
+    return 1 if bound < 1 << 8 else 2 if bound < 1 << 16 else 4
+
+
+def _packed(values: list[int], n: int, size: int) -> int:
+    """The indicator vector of ``values`` (in [0, n)) as an int of n fields
+    of ``size`` bytes, little-endian: field v is 1 for each v."""
+    digits = bytearray(n * size)
+    for v in values:
+        digits[v * size] = 1
+    return int.from_bytes(digits, "little")
+
+
+def counts(xs: list[int], ys: list[int], n: int) -> array:
+    """r(z) = #{(x, y) in xs × ys : x + y = z mod n} for every z in [0, n),
+    for lists of distinct residues, from one product of big ints.
+
+    Each indicator vector is packed into fields wide enough for
+    min(|xs|, |ys|) (:func:`field_bytes`), which bounds every count, so no
+    field of the product carries into the next.  The product's 2n fields
+    are folded once mod n, (P mod 2^{nw}) + (P >> nw), and the n fields are
+    read back as one ``array``.  With ``ys is xs`` the product is a square,
+    which costs less.
+    """
+    size = field_bytes(min(len(xs), len(ys)))
+    packed = _packed(xs, n, size)
+    product = packed * packed if ys is xs else packed * _packed(ys, n, size)
+    width = 8 * size * n
+    folded = (product & ((1 << width) - 1)) + (product >> width)
+    out = array(_FIELDS[size])
+    out.frombytes(folded.to_bytes(size * n, sys.byteorder))
+    return out
