@@ -426,6 +426,7 @@ AP_CEILINGS = {
 @pytest.mark.parametrize("p", [None, 10009])
 def test_claims_refuse_a_1500_progression_before_any_walk(monkeypatch, claim, p):
     monkeypatch.setattr(sets, "_pair_rows", _no_walk)
+    monkeypatch.setattr(sets, "_packed_counts", _no_walk)
     monkeypatch.setattr(incidence, "_slope_table", _no_walk)
     monkeypatch.setattr(incidence, "collinear_triples_brute", _no_walk)
     rec = run_claim(claim, ArithSet(range(1, 1501), p=p))
