@@ -2,11 +2,13 @@
 
 The additive energy of a set S is the number of ordered quadruples
 (a1, a2, a3, a4) in S^4 with a1 + a2 = a3 + a4; multiplicative energy is
-the analogue for products.  Both are computed by counting the int keys
-of the pair kernel in :mod:`sumprodlab.sets` (ints modulo p in F_p, ints
-over a common denominator in Q) into a representation function
-r(s) = #{(u, v) : u o v = s} and summing r(s)^2 -- O(|S|^2) time and
-space, with no field element built per pair.  sigma_A(B) sums r_{B+-B}
+the analogue for products.  Both sum r(s)^2 over a representation function
+r(s) = #{(u, v) : u o v = s} (:class:`sumprodlab.sets.PairCounts`), with
+no field element built per pair.  Over Q, and over F_p below the rule of
+``sets._packed_route``, it counts the int keys of the pair kernel, in
+O(|S|^2) time; above the rule (p <= 20,000 and |S|^2 >= b·p·(2 + p/10,000))
+it reads r for every residue from one product of p·b-byte ints, in
+O((p·b)^1.585) time and O(p·b) space.  sigma_A(B) sums r_{B+-B}
 over A.  A shift overlap |A ∩ (A+α)| = r_{A-A}(α) counts the pairs with
 a1 - a2 = α on the same plain ints, by the routine that also lists the
 1 - x = a1 - a2 solutions of :mod:`sumprodlab.popdiff`; its bound reads M

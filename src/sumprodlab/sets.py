@@ -34,8 +34,12 @@ C = :data:`_BITSET_SPAN` = 128; the pair walk otherwise, and always over Q.
 The bitset route (:func:`_rotated`) ORs min(m, n) rotations of one
 operand's bitset (:mod:`sumprodlab.cyclic`), of residues for sums and
 differences and of discrete logs (:func:`sumprodlab.field.log_tables`) for
-products and quotients.  The pair walk is the route over Q, the only route
-of every count (representation functions, energies) and the oracle.
+products and quotients.  A representation function (:class:`PairCounts`,
+and so every energy) is counted on one of two routes as well, picked by
+its own rule (:func:`_packed_route`): over F_p with p <= 20,000 and
+m·n >= b·p·(2 + p/10,000), b the bytes per count, from one product of
+the packed indicator vectors (:func:`_packed_counts`); otherwise by the
+pair walk.  The pair walk is the route over Q and the oracle of both.
 """
 
 from __future__ import annotations
@@ -353,7 +357,8 @@ class PairCounts(Mapping):
     """The representation function r(x) = #{(u, v) : u op v = x} as a
     read-only mapping from field elements to counts.
 
-    The counts are kept on the int keys of the pair kernel (:class:`_Keys`).
+    The counts are kept on the int keys of the pair kernel (:class:`_Keys`),
+    from the packed product or the pair walk, as :func:`_packed_route` picks.
     A lookup encodes its key: an int, a ``Fraction`` or (over F_p) a
     ``Residue`` of the same modulus.  A rational off the kernel's lattice
     or, over F_p, with no residue mod p, an element of another field, a
