@@ -514,8 +514,8 @@ def _rotated(s: ArithSet, t: ArithSet, op: str) -> list[int]:
 #: m·n = b·p·(2 + p/10,000) of the rule the packed route was 1.2x to 3x
 #: faster at p <= 5003 and 1.1x to 2x at p = 10,009, 15,013 and 19,997;
 #: beyond p = 20,000 the break-even outgrows the factor.
-_PACKED_PAIRS = 2
-_PACKED_SCALE = 10_000
+_PACKED_BASE = 2
+_PACKED_GROWTH = 10_000
 _PACKED_MAX_P = 20_000
 
 
@@ -529,7 +529,7 @@ def _packed_route(m: int, n: int, p: int | None) -> bool:
     if p is None or p > _PACKED_MAX_P:
         return False
     b = cyclic.field_bytes(min(m, n))
-    return m * n * _PACKED_SCALE >= b * p * (_PACKED_PAIRS * _PACKED_SCALE + p)
+    return m * n * _PACKED_GROWTH >= b * p * (_PACKED_BASE * _PACKED_GROWTH + p)
 
 
 def _packed_counts(s: ArithSet, t: ArithSet, op: str) -> dict[int, int]:
@@ -548,7 +548,10 @@ def _packed_counts(s: ArithSet, t: ArithSet, op: str) -> dict[int, int]:
     p = s.p
     xs, ys = s._values, t._values
     if op in ("plus", "minus"):
-        ys = [-v % p for v in ys] if op == "minus" else xs if t == s else ys
+        if op == "minus":
+            ys = [-v % p for v in ys]
+        elif t == s:
+            ys = xs  # the same list: the product is a square
         r = cyclic.counts(xs, ys, p)
         return dict(zip(compress(range(p), r), compress(r, r)))
     exp, log = log_tables(p)
