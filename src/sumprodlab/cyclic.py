@@ -14,8 +14,9 @@ from typing import Callable, Iterable
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
 #: ``bytes.translate`` table reading a byte as one digit: 0 as "0", else "1".
 _DIGIT = bytes([48]) + bytes([49]) * 255
-#: The set bits of each byte value, in increasing order.
-_OFFSETS = [tuple(k for k in range(8) if b >> k & 1) for b in range(256)]
+#: The set bits of each byte value, in increasing order: the bytes below
+#: 2^(k+1) are those below 2^k, then each of them with bit k added.
+_OFFSETS = reduce(lambda table, k: table + [bits + (k,) for bits in table], range(8), [()])
 #: ``array`` type codes of unsigned fields by their size in bytes.
 _FIELDS = {array(code).itemsize: code for code in "IHB"}
 
