@@ -38,8 +38,11 @@ def members(bits: int) -> list[int]:
     if 4 * bits.bit_count() > length:
         return list(compress(range(length), format(bits, "b").encode()[::-1].translate(_BITS)))
     data = bits.to_bytes((length + 7) // 8, "little")
-    return [8 * i + k for i, b in zip(compress(range(len(data)), data), compress(data, data))
-            for k in _OFFSETS[b]]
+    return [
+        8 * i + k
+        for i, b in zip(compress(range(len(data)), data), compress(data, data))
+        for k in _OFFSETS[b]
+    ]
 
 
 def sums(xs: list[int], ys: list[int], n: int) -> int:

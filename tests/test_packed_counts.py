@@ -31,7 +31,7 @@ PRIMES = (2, 3, 5, 31, 1009, 10009)
 def walk(s, t, op):
     """r_{s op t} from the pair walk, whatever the rule picks."""
     rows, _ = sets._pair_rows(s, t, op)
-    return Counter(chain.from_iterable(rows))
+    return dict(Counter(chain.from_iterable(rows)))  # a Counter would match zero counts
 
 
 def check(s, t, op):
