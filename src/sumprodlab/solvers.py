@@ -19,7 +19,12 @@ the targets a pair adds are two lookups, and per target the number of
 pairs with a chosen end.  A child's leaf test and bound are made before
 it is entered, from a per-call memo of the bound; a cut child is still
 counted as a node, so the tree and its prune counts are those of a search
-that enters every child.  The basis found is re-checked on the same ints.
+that enters every child.  A node that passes the bound meets the reach
+bound next: with ``slack`` elements still affordable below the incumbent,
+they add at most the ``slack`` largest counts of uncovered targets in the
+partners' reach plus slack(slack+1)/2 sums among themselves, and a node
+that cannot cover what is left that way is cut (it was counted when its
+parent made it).  The basis found is re-checked on the same ints.
 
 Decomposition.  Decide whether A = B + C with |B|, |C| >= 2.  Translation
 freedom is removed by fixing min(B) = 0, which forces C to be a subset
@@ -91,8 +96,10 @@ class BasisSearchResult:
     #: Branches cut, by cause: ``counting_floor`` and ``coverage`` (the
     #: lower bound reached the incumbent; a tie is credited to the counting
     #: floor), ``no_affordable_pair`` (some uncovered target has no pair
-    #: that keeps |B| below the incumbent) and ``size_cap`` (a ranked pair
-    #: skipped because it would make B as large as the incumbent).
+    #: that keeps |B| below the incumbent), ``size_cap`` (a ranked pair
+    #: skipped because it would make B as large as the incumbent) and
+    #: ``reach`` (the elements still affordable cannot cover the targets
+    #: left, counted from the targets each partner of B would complete).
     prunes: dict
 
 
@@ -230,23 +237,38 @@ def min_basis(
     within_cap = incumbent.bit_count() <= size_cap
     best_size = incumbent.bit_count() if within_cap else size_cap + 1
     best_set = incumbent if within_cap else None
-    prunes = dict.fromkeys(("counting_floor", "coverage", "no_affordable_pair", "size_cap"), 0)
+    prunes = dict.fromkeys(
+        ("counting_floor", "coverage", "no_affordable_pair", "size_cap", "reach"), 0
+    )
 
     def expand(
         chosen: int, uncovered: int, size: int, left: int, reach: dict, affordable: list
     ) -> None:
-        """Branch below a node that is counted and has passed the bound.
+        """Branch below a node that is counted and has passed the bound,
+        unless the reach bound cuts it.
 
         Each child is counted, and its leaf test and bound are made here,
         before any call: a child that is cut costs no call.
         """
         nonlocal best_size, best_set, nodes
+        # Reach bound: B may still grow by ``slack`` elements, which cover at
+        # most the ``slack`` largest counts of reach[j] & uncovered plus the
+        # slack(slack+1)/2 sums among themselves.  A chosen j counts 0, so
+        # reach needs no filter.
+        slack = best_size - size - 1
+        among = slack * (slack + 1) // 2
+        if left > among:
+            gains = [(r & uncovered).bit_count() for r in reach.values()]
+            gains.sort(reverse=True)
+            if sum(gains[:slack]) + among < left:
+                prunes["reach"] += 1
+                return
         # Most-constrained uncovered element: fewest pairs still affordable.
         # A pair adds at most two elements, and the bound leaves a slack of
-        # at least two.  With three or more every pair is affordable.  With
-        # two, a pair is affordable exactly when it is a self-pair or has a
+        # at least one.  With two or more every pair is affordable.  With
+        # one, a pair is affordable exactly when it is a self-pair or has a
         # chosen end (both ends chosen would cover the target already).
-        if best_size - size > 2:
+        if slack > 1:
             options = next(plist for bit, plist in by_pairs if uncovered & bit)
         else:
             k = min(_bits(uncovered), key=affordable.__getitem__)

@@ -85,6 +85,7 @@ def test_basis_min_reports_prunes(tmp_path, capsys):
         "coverage": 1,
         "no_affordable_pair": 1,
         "size_cap": 1,
+        "reach": 0,
     }
 
 

@@ -105,8 +105,10 @@ def test_min_basis_prunes_by_cause():
     #   4 {1,2,4,7}: covers A, incumbent 4.  Back at 3, (5,6) would make
     #     |B| = 4: size_cap.
     #   5 {0,1,3}: 3 + max(coverage 1, floor 0) >= 4: coverage.
-    #   6 {0,2}: slack 2, and both pairs of 11 add two elements:
-    #     no_affordable_pair.
+    #   6 {0,2}: one more element adds at most one target with 0 or 2
+    #     (3 = 0 + 3) and one as its double, and 2 are left: the reach
+    #     bound passes.  |B| may grow by one, and both pairs of 11 add two
+    #     elements: no_affordable_pair.
     res = min_basis(fset(2, 3, 4, 11), universe=ArithSet(range(8)))
     assert (res.size, res.nodes, res.basis) == (4, 6, fset(1, 2, 4, 7))
     assert res.prunes == {
@@ -114,6 +116,7 @@ def test_min_basis_prunes_by_cause():
         "coverage": 1,
         "no_affordable_pair": 1,
         "size_cap": 1,
+        "reach": 0,
     }
     # Greedy meets the floor 3 at the root, where the coverage term is 3 as
     # well: a tie, credited to the counting floor.
@@ -124,7 +127,41 @@ def test_min_basis_prunes_by_cause():
         "coverage": 0,
         "no_affordable_pair": 0,
         "size_cap": 0,
+        "reach": 0,
     }
+
+
+def test_min_basis_reach_bound_cuts_a_node():
+    # A = {0, 6, 8} in U = {0..4}.  Floor 2, max_cover 2, and greedy picks
+    # (0,0), (4,4), (2,4): incumbent 3.  The tree, by hand:
+    #   1 root: bound 2; target 0, whose only pair is (0,0).
+    #   2 {0}: bound 1 + max(1, 1) = 2 passes, but a basis of size 2 has
+    #     one more element x, which adds 0 + x and 2x.  Neither 6 nor 8 is
+    #     in U, so reach[0] covers no target left, and 2x covers at most
+    #     one of the two: reach.
+    # Without the reach bound, node 2 would branch on 6 through (3,3) to a
+    # third node, cut by coverage.
+    res = min_basis(fset(0, 6, 8), universe=ArithSet(range(5)))
+    assert (res.size, res.nodes, res.basis) == (3, 2, fset(0, 2, 4))
+    assert res.prunes == {
+        "counting_floor": 0,
+        "coverage": 0,
+        "no_affordable_pair": 0,
+        "size_cap": 0,
+        "reach": 1,
+    }
+
+
+def test_min_basis_reach_bound_keeps_the_optimum():
+    rng = random.Random(27)
+    universe = ArithSet(range(13))
+    fired = 0
+    for _ in range(30):
+        a = ArithSet(rng.sample(range(25), rng.randint(4, 9)))
+        res = min_basis(a, universe=universe)
+        assert res.size == oracle_min_basis_size(a, universe)
+        fired += res.prunes["reach"] > 0
+    assert fired >= 10
 
 
 def test_min_basis_universe_in_another_mode():
