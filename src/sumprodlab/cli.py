@@ -58,7 +58,7 @@ def _field_mode(text: str | None) -> int | None:
 def _cmd_gen(args) -> int:
     spec = parse_family(args.spec)
     if args.seed is not None:
-        spec = type(spec)(kind=spec.kind, params=spec.params, seed=args.seed)
+        spec = spec._replace(seed=args.seed)
     a = generate(spec)
     if args.field is not None:
         p = _field_mode(args.field)

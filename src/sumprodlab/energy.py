@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .field import FieldElement, coerce_element
 from .sets import (
@@ -181,8 +181,7 @@ def _cube_root_ceil(q: Fraction) -> int:
     return lo
 
 
-@dataclass(frozen=True)
-class ShiftBoundReport:
+class ShiftBoundReport(NamedTuple):
     """Exact comparison of |A ∩ (A+α)| against M^{4/3}|A|^{2/3}.
 
     ``holds`` is decided in exact arithmetic by cubing both sides:

@@ -16,8 +16,8 @@ Kinds:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .field import check_prime_modulus, least_primitive_root
 from .sets import ArithSet, difference_set, sumset
@@ -27,10 +27,9 @@ KINDS = ("gp", "ap", "subgroup", "random", "sumset_of_random", "plus_minus")
 DEFAULT_RANGE = (1, 10**9)
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     kind: str
-    params: dict = field(default_factory=dict)
+    params: dict
     seed: int | None = None
 
     def label(self) -> str:

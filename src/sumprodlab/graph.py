@@ -15,10 +15,9 @@ check that difference representations dominate common neighborhoods.
 from __future__ import annotations
 
 import math
-import statistics
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
+from typing import NamedTuple
 
 from .cyclic import indexer, mask
 from .field import FieldElement, OutsideDomain
@@ -102,8 +101,7 @@ def build_containment_graph(basis: ArithSet, target: ArithSet) -> ContainmentGra
     return ContainmentGraph(basis, target)
 
 
-@dataclass(frozen=True)
-class LKProfile:
+class LKProfile(NamedTuple):
     """Exact (L, K) profile of a partial basis.
 
     K is generally irrational, so it is carried as the exact pair
@@ -148,8 +146,7 @@ def lk_profile(graph: ContainmentGraph) -> LKProfile:
     )
 
 
-@dataclass(frozen=True)
-class GowersExtract:
+class GowersExtract(NamedTuple):
     """Outcome of the pivot-neighborhood dense-subset search.
 
     ``subset`` is the neighborhood of ``pivot``; ``bad_fraction`` is the
@@ -243,8 +240,7 @@ def rich_pairs(
     return out
 
 
-@dataclass(frozen=True)
-class DifferenceSolutionReport:
+class DifferenceSolutionReport(NamedTuple):
     """Counts of b1 - b2 = a - a' solutions against common neighborhoods.
 
     Every common neighbor b of (b1, b2) yields the distinct solution
@@ -293,6 +289,6 @@ def difference_solution_report(
         tau=tau,
         fraction_at_tau=Fraction(at_tau, total),
         min_solutions=min(counts),
-        median_solutions=statistics.median_low(counts),
+        median_solutions=sorted(counts)[(len(counts) - 1) // 2],
         injection_ok=injection_ok,
     )

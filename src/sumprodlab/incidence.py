@@ -40,9 +40,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, repeat
+from typing import NamedTuple
 
 from .sets import ArithSet, _guard, _int_values, _inverses, require_same_mode
 
@@ -240,8 +240,7 @@ def sextuple_collinearity_count(a: ArithSet) -> tuple[int, int]:
 # -- dyadic line table --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IncidenceTable:
+class IncidenceTable(NamedTuple):
     """Line census for the grid pair (C x C, B x B).
 
     ``census`` maps the exact richness (in_first, in_second, in_both) of a
@@ -325,8 +324,7 @@ def dyadic_table(c: ArithSet, b: ArithSet) -> IncidenceTable:
     return IncidenceTable(first=c, second=b, census=census)
 
 
-@dataclass(frozen=True)
-class STClassRatio:
+class STClassRatio(NamedTuple):
     """One richness class (k, l) against the two-sided line-count bound."""
 
     k: int
@@ -336,8 +334,7 @@ class STClassRatio:
     ratio: Fraction
 
 
-@dataclass(frozen=True)
-class STBoundReport:
+class STBoundReport(NamedTuple):
     """Line counts per richness class against min(|C|^4/k^3 + |C|^2/k,
     |B|^4/l^3 + |B|^2/l), for k, l >= 2.
 
@@ -371,8 +368,7 @@ def st_line_bound_check(table: IncidenceTable) -> STBoundReport:
     )
 
 
-@dataclass(frozen=True)
-class GridTriplesReport:
+class GridTriplesReport(NamedTuple):
     """Exact T(C, C, B) against the |B|^{4/3}|C|^{8/3} log^2|B| shape.
 
     The bound column is report-only (natural log, log^2 of a singleton

@@ -30,8 +30,8 @@ field elements.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 from .field import OutsideDomain, coerce_element
 from .sets import (
@@ -58,8 +58,7 @@ from .energy import (
 from .graph import ContainmentGraph, lk_profile, rich_pairs
 
 
-@dataclass(frozen=True)
-class PopDiffCertificate:
+class PopDiffCertificate(NamedTuple):
     """R with multiplicities, the collision count, and the verified chain.
 
     conservation_ok:   sum of n(x) equals the enumerated triple count.
@@ -206,8 +205,7 @@ def one_minus_x_solutions(x, d: ArithSet) -> int:
     return shift_intersection(d, shift) if shift else len(d)
 
 
-@dataclass(frozen=True)
-class QuadrupleBound:
+class QuadrupleBound(NamedTuple):
     """E_+(YX) against the generated-quadruple floor N |Y| |R|.
 
     ``distinct_quadruples`` counts the explicitly built quadruples
@@ -287,8 +285,7 @@ def quadruple_energy_bound(
     )
 
 
-@dataclass(frozen=True)
-class RatioSets:
+class RatioSets(NamedTuple):
     """X = {(b1+c)/(b2+c)} and Y = {(c1+b)/(c2+b)} with degenerates removed.
 
     The values 0 and 1 are excluded, as are tuples with a vanishing
@@ -340,8 +337,7 @@ def build_ratio_sets(b: ArithSet, c: ArithSet) -> RatioSets:
     )
 
 
-@dataclass(frozen=True)
-class SumsetEnergyBound:
+class SumsetEnergyBound(NamedTuple):
     """E_+((A A)/A) against |A||X||C| and |A||Y||B| for A = B + C.
 
     Each x in X admits |C| solutions to 1 - x = y (1 - x*) by varying the

@@ -43,8 +43,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .energy import representation_function, shift_intersection_report
 from .field import OutsideDomain
@@ -86,8 +86,7 @@ def default_universe(a: ArithSet) -> ArithSet:
     return ArithSet(combined, p=a.p)
 
 
-@dataclass(frozen=True)
-class BasisSearchResult:
+class BasisSearchResult(NamedTuple):
     basis: ArithSet
     size: int
     counting_bound: int
@@ -339,8 +338,7 @@ def min_basis(
     )
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     reducible: bool
     left: ArithSet | None
     right: ArithSet | None

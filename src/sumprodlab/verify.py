@@ -22,9 +22,9 @@ import decimal
 import math
 import random
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
+from typing import NamedTuple
 
 from .field import CeilingExceeded, OutsideDomain
 from .sets import (
@@ -87,8 +87,7 @@ def _dec(x) -> Decimal:
     return Decimal(x.numerator) / x.denominator
 
 
-@dataclass(frozen=True)
-class ExponentLedger:
+class ExponentLedger(NamedTuple):
     """Exact exponent bookkeeping for the basis-size chain.
 
     From a gain c the chain yields the basis exponent 1/2 + c/17; the
@@ -116,8 +115,7 @@ def exponent_ledger(gain) -> ExponentLedger:
     )
 
 
-@dataclass
-class CheckRecord:
+class CheckRecord(NamedTuple):
     """One claim evaluated on one instance."""
 
     claim: str
@@ -128,7 +126,7 @@ class CheckRecord:
     rhs: object
     ratio: float | None
     verdict: str  # "pass" | "fail" | "info" | "ceiling" | "undefined"
-    details: dict = field(default_factory=dict)
+    details: dict
 
 
 def stats_record(a: ArithSet) -> CheckRecord:
