@@ -1,5 +1,5 @@
-"""Bitset primitives of the F_p routes of :mod:`sumprodlab.sets` and
-:mod:`sumprodlab.graph`, in C-level passes over ints with bit v set for each v."""
+"""Bitset primitives of the F_p routes of ``sets``, ``graph`` and ``energy``,
+in C-level passes over ints with bit v set for each v."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from array import array
 from functools import reduce
 from itertools import compress
 from operator import itemgetter, or_
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 #: ``bytes.translate`` table: the digits of ``format`` to bytes for ``compress``.
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -53,6 +53,14 @@ def sums(xs: list[int], ys: list[int], n: int) -> int:
         xs, ys = ys, xs
     acc = reduce(or_, map(mask(ys, n).__lshift__, xs), 0)
     return (acc | acc >> n) & ((1 << n) - 1)
+
+
+def rotations(moving: int, fixed: int, shifts: Iterable[int], n: int) -> Iterator[int]:
+    """For each s of ``shifts`` (all in [0, n)), the mask over Z/n of the w
+    in ``fixed`` with w + s mod n in ``moving``: ``moving`` doubled to 2n
+    bits, shifted down by s and ANDed with ``fixed``, one row at a time."""
+    doubled = moving | moving << n
+    return (doubled >> s & fixed for s in shifts)
 
 
 def indexer(values: list[int], n: int) -> Callable[[int], int]:

@@ -9,7 +9,8 @@ no field element built per pair.  Over Q, and over F_p below the rule of
 O(|S|^2) time; above the rule (p <= 20,000 and |S|^2 >= b·p·(2 + p/10,000))
 it reads r for every residue from one product of p·b-byte ints, in
 O((p·b)^1.585) time and O(p·b) space.  sigma_A(B) sums r_{B+-B}
-over A.  A shift overlap |A ∩ (A+α)| = r_{A-A}(α) counts the pairs with
+over A, or over F_p on the bitset route |B| rotate-and-AND popcounts.
+A shift overlap |A ∩ (A+α)| = r_{A-A}(α) counts the pairs with
 a1 - a2 = α on the same plain ints, by the routine that also lists the
 1 - x = a1 - a2 solutions of :mod:`sumprodlab.popdiff`; its bound reads M
 from the A*A the set keeps.  The O(|S|^4) quadruple enumeration
@@ -24,11 +25,13 @@ from collections.abc import Mapping
 from fractions import Fraction
 from typing import NamedTuple
 
+from . import cyclic
 from .field import FieldElement, coerce_element
 from .sets import (
     DEFAULT_ELEMENT_CEILING,
     ArithSet,
     PairCounts,
+    _bitset_route,
     _canonical,
     _guard,
     _int_values,
@@ -115,15 +118,37 @@ def sigma(a: ArithSet, b: ArithSet, op: str = "plus") -> int:
 
     ``plus``  counts (b1, b2) with b1 + b2 in A;
     ``minus`` counts (b1, b2) with b1 - b2 in A.
-    Both are the sum over A of the representation function r_{B+-B}.
+    Both are the sum over A of the representation function r_{B+-B}; over
+    F_p on the bitset route, of |B| shifts of 2p bits (:func:`_rotated_sigma`).
     """
     if len(a) == 0 or len(b) == 0:
         raise ValueError("sigma requires nonempty sets")
     require_same_mode(a, b)
     if op not in ("plus", "minus"):
         raise ValueError(f"unknown operation {op!r}")
+    return _sigma(a, b, op)[0]
+
+
+def _sigma(a: ArithSet, b: ArithSet, op: str) -> tuple[int, bool]:
+    """sigma_A(B) and whether A lies inside B op B, on one route."""
+    if _bitset_route(len(b), len(b), b.p):
+        return _rotated_sigma(a, b, op)
     counts = representation_function(b, b, op, ceiling=None)
-    return sum(counts.get(x, 0) for x in a)
+    hits = [counts.get(x, 0) for x in a]
+    return sum(hits), all(hits)
+
+
+def _rotated_sigma(a: ArithSet, b: ArithSet, op: str) -> tuple[int, bool]:
+    """Row v of B masks the w of A with w - v (plus) or w + v (minus) in B:
+    the popcounts sum to sigma_A(B), the OR is the part of A in B op B."""
+    p = b.p
+    target = cyclic.mask(a._values, p)
+    shifts = b._values if op == "minus" else [-v % p for v in b._values]
+    total = reach = 0
+    for row in cyclic.rotations(cyclic.mask(b._values, p), target, shifts, p):
+        total += row.bit_count()
+        reach |= row
+    return total, reach == target
 
 
 def is_sidon(s: ArithSet) -> bool:

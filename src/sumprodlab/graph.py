@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import compress
 from typing import NamedTuple
 
-from .cyclic import indexer, mask
+from .cyclic import indexer, mask, rotations
 from .field import FieldElement, OutsideDomain
 from .energy import representation_function
 from .sets import ArithSet, _bitset_route, _pair_rows, require_same_mode
@@ -83,18 +83,16 @@ class ContainmentGraph:
 def _rotated_rows(basis: ArithSet, target: ArithSet) -> list[int]:
     """The adjacency rows over F_p on the bitset route.
 
-    With the mask of A doubled to 2p bits, bit w of (A_2 >> b) is whether
-    w + b mod p lies in A, for every w < p; ANDed with the mask of B it is
-    the residues of (A − b) ∩ B.  A nonzero row is moved to indices of B by
-    :func:`sumprodlab.cyclic.indexer`, which needs the |B| >= 2 of the route.
+    Row b is the mask of the residues w of B with w + b in A, that is
+    (A − b) ∩ B (:func:`sumprodlab.cyclic.rotations`).  A nonzero row is
+    moved to indices of B by :func:`sumprodlab.cyclic.indexer`, which needs
+    the |B| >= 2 of the route.
     """
     p = basis.p
     values = basis._values
-    inside = mask(values, p)
-    hits = mask(target._values, p)
-    hits |= hits << p
     index = indexer(values, p)
-    return [index(row) if (row := hits >> b & inside) else 0 for b in values]
+    rows = rotations(mask(target._values, p), mask(values, p), values, p)
+    return [index(row) if row else 0 for row in rows]
 
 
 def build_containment_graph(basis: ArithSet, target: ArithSet) -> ContainmentGraph:

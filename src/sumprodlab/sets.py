@@ -34,12 +34,15 @@ C = :data:`_BITSET_SPAN` = 128; the pair walk otherwise, and always over Q.
 The bitset route (:func:`_rotated`) ORs min(m, n) rotations of one
 operand's bitset (:mod:`sumprodlab.cyclic`), of residues for sums and
 differences and of discrete logs (:func:`sumprodlab.field.log_tables`) for
-products and quotients.  A representation function (:class:`PairCounts`,
-and so every energy) is counted on one of two routes as well, picked by
-its own rule (:func:`_packed_route`): over F_p with p <= 20,000 and
-m·n >= b·p·(2 + p/10,000), b the bytes per count, from one product of
-the packed indicator vectors (:func:`_packed_counts`); otherwise by the
-pair walk.  The pair walk is the route over Q and the oracle of both.
+products and quotients.  On (|B|, |B|) the rule also picks whether a
+containment graph and sigma_A(B) are read from |B| rotate-and-AND rows
+(:func:`sumprodlab.cyclic.rotations`).  A representation function
+(:class:`PairCounts`, and so every energy) is counted on one of two routes
+as well, picked by its own rule (:func:`_packed_route`): over F_p with
+p <= 20,000 and m·n >= b·p·(2 + p/10,000), b the bytes per count, from one
+product of the packed indicator vectors (:func:`_packed_counts`);
+otherwise by the pair walk.  The pair walk is the route over Q and the
+oracle of both.
 """
 
 from __future__ import annotations

@@ -39,6 +39,7 @@ from .sets import (
     sumset,
 )
 from .energy import (
+    _sigma,
     additive_energy,
     energy_from_counts,
     multiplicative_energy,
@@ -434,11 +435,8 @@ def difference_count_check(a: ArithSet, b: ArithSet | None = None) -> CheckRecor
     if b is None:
         b = a
     require_same_mode(a, b)
-    # sigma_A(B) = sum over A of r_{B-B}; the same histogram says whether
-    # A lies inside B - B.
-    differences = representation_function(b, b, "minus", ceiling=None)
-    hypothesis_ok = all(x in differences for x in a)
-    value = sum(differences.get(x, 0) for x in a)
+    # sigma_A(B) and whether A lies inside B - B, from one route of sigma.
+    value, hypothesis_ok = _sigma(a, b, "minus")
     rhs = _hp(lambda: Decimal(len(b)) ** 2 * Decimal(len(a)) ** (-_dec(MAX_GAIN) / 10))
     return CheckRecord(
         claim="difference_count",

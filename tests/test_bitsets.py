@@ -1,6 +1,8 @@
-"""The F_p bitset route of the set kernels and of containment graphs, held
-against the pair walk (its oracle), and the rule that picks between them."""
+"""The F_p bitset route of the set kernels, of containment graphs and of
+sigma_A(B), held against the pair walk (its oracle), and the rule that
+picks between them."""
 
+import math
 import random
 from itertools import chain
 
@@ -8,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumprodlab import graph, sets
+from sumprodlab import energy, graph, sets
+from sumprodlab.energy import sigma
 from sumprodlab.families import multiplicative_subgroup
 from sumprodlab.field import least_primitive_root, log_tables
 from sumprodlab.graph import ContainmentGraph
@@ -24,6 +27,7 @@ from sumprodlab.sets import (
     sumset,
     translate,
 )
+from sumprodlab.verify import difference_count_check
 
 OPS = {"plus": sumset, "minus": difference_set, "times": product_set, "divide": ratio_set}
 PRIMES = (2, 3, 5, 31, 1009, 10009)
@@ -69,6 +73,21 @@ def residues(p, size, rng, zero=None):
     return ArithSet(picked, p=p)
 
 
+def check_sigma(a, b):
+    """sigma_A(B) for both ops, and difference_count, against |B|^2 pair
+    sums and differences, and A ⊆ B ± B against the set kernels."""
+    p, inside, values = b.p, a._index, b._values
+    for op, image in (("plus", sumset), ("minus", difference_set)):
+        sign = 1 if op == "plus" else -1
+        want = sum((u + sign * v) % p in inside for u in values for v in values)
+        covered = set(a._values) <= set(image(b, b)._values)
+        assert energy._sigma(a, b, op) == (want, covered)
+        if len(a):
+            assert sigma(a, b, op) == want
+    rec = difference_count_check(a, b)
+    assert (rec.lhs, rec.details["hypothesis_ok"]) == energy._sigma(a, b, "minus")
+
+
 @st.composite
 def fp_pairs(draw):
     p = draw(st.sampled_from(PRIMES[:5]))
@@ -88,6 +107,40 @@ def test_bitset_route_matches_pair_walk(pair, op):
 @given(fp_pairs())
 def test_graph_bitset_route_matches_pair_walk(pair):
     check_graph(*pair)
+
+
+@st.composite
+def sigma_pairs(draw):
+    """(A, B) in F_p with |B|^2 >= p, so that B meets the first condition of
+    the bitset route, with 0 forced in, out of or left free in each set."""
+    p = draw(st.sampled_from(PRIMES))
+    root = math.isqrt(p - 1) + 1
+    n = draw(st.integers(root, min(p, root + 40)))
+    m = draw(st.integers(1, min(p, 2 * n)))
+    zeros = draw(st.tuples(*[st.sampled_from([None, True, False])] * 2))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return residues(p, m, rng, zeros[0]), residues(p, n, rng, zeros[1])
+
+
+@settings(max_examples=120, deadline=None)
+@given(sigma_pairs())
+def test_sigma_bitset_route_matches_pair_count(pair):
+    check_sigma(*pair)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_sigma_seeded_cases_on_both_sides_of_the_rule(p):
+    rng = random.Random(p)
+    routes = set()
+    root = math.isqrt(p - 1) + 1
+    for n in sorted({1, root - 1, root, root + 7}):
+        for m in sorted({1, max(1, n // 2), n, 2 * n}):
+            for zero_a, zero_b in ((True, False), (False, True), (True, True), (None, None)):
+                a, b = residues(p, m, rng, zero_a), residues(p, n, rng, zero_b)
+                routes.add(sets._bitset_route(len(b), len(b), p))
+                check_sigma(a, b)
+                check_sigma(b, b)
+    assert routes == {True, False}
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -153,6 +206,7 @@ def refuse(*args):
 def test_route_rule_keeps_the_pair_walk(monkeypatch):
     monkeypatch.setattr(sets, "_rotated", refuse)
     monkeypatch.setattr(graph, "_rotated_rows", refuse)
+    monkeypatch.setattr(energy, "_rotated_sigma", refuse)
     rational = ArithSet(range(1, 41))
     coset = dilate(multiplicative_subgroup(1009, 28), 3)
     sparse = ArithSet(random.Random(2).sample(range(1, 1_000_003), 40), p=1_000_003)
@@ -161,6 +215,7 @@ def test_route_rule_keeps_the_pair_walk(monkeypatch):
             build(a, a)
         aa_over_a(a)
         ContainmentGraph(a, sumset(a, a))
+        sigma(a, a, "plus"), sigma(a, a, "minus"), difference_count_check(a)
     big = dilate(multiplicative_subgroup(10009, 278), 7)
     for a in (rational, coset, sparse, big):
         translate(a, 5), dilate(a, 3), negate(a), normalize(a)
@@ -168,6 +223,11 @@ def test_route_rule_keeps_the_pair_walk(monkeypatch):
         sumset(big, big)
     with pytest.raises(AssertionError, match="bitset route"):
         ContainmentGraph(big, big)
+    for op in ("plus", "minus"):
+        with pytest.raises(AssertionError, match="bitset route"):
+            sigma(big, big, op)
+    with pytest.raises(AssertionError, match="bitset route"):
+        difference_count_check(big)
 
 
 @pytest.mark.parametrize("p", [2, 3, 31, 1009, 10009])

@@ -1,5 +1,6 @@
 """Containment graphs, (L, K) profiles, dense-subset extraction, rich pairs."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sumprodlab import sets
 from sumprodlab.sets import ArithSet, sumset
 from sumprodlab.energy import sigma
 from sumprodlab.graph import (
@@ -42,6 +44,16 @@ def test_edges_match_sigma():
         a = ArithSet(rng.sample(range(1, 50), rng.randint(1, 12)))
         g = build_containment_graph(b, a)
         assert g.edges == sigma(a, b, "plus")
+    # Over F_p with |B|^2 >= p both the graph and sigma take the bitset route.
+    for p in (2, 5, 31, 1009, 10009):
+        for _ in range(4):
+            n = rng.randint(math.isqrt(p - 1) + 1, min(p, 2 * math.isqrt(p) + 2))
+            b = ArithSet(rng.sample(range(p), n), p=p)
+            a = ArithSet(rng.sample(range(p), rng.randint(1, p)), p=p)
+            assert sets._bitset_route(n, n, p)
+            g = build_containment_graph(b, a)
+            assert g.edges == sigma(a, b, "plus")
+            assert g.edges == sum((u + v) % p in a._index for u in b._values for v in b._values)
 
 
 def test_symmetry():

@@ -274,6 +274,23 @@ def test_difference_count_check():
     assert not rec.details["hypothesis_ok"]  # top element is not a difference
 
 
+def test_difference_count_pins_on_the_bitset_route():
+    """sigma_A(B) and A ⊆ B − B on the sets of ``sumprodlab gen`` (a random
+    set is read mod p as ``--field fp:p`` does), as the pair walk read them."""
+    r400 = ArithSet(generate(parse_family("random:n=400,seed=5")).elements, p=10009)
+    coset = generate(parse_family("subgroup:p=10009,d=278"))
+    r60 = ArithSet(generate(parse_family("random:n=60,seed=3")).elements, p=1009)
+    for a, b, lhs, covered in [
+        (r400, r400, 6206, True),
+        (r400, coset, 2897, False),
+        (coset, r400, 4498, True),
+        (r60, r60, 236, False),
+    ]:
+        assert sets._bitset_route(len(b), len(b), b.p)
+        rec = run_claim("difference_count", a, {"basis": b})
+        assert (rec.lhs, rec.details["hypothesis_ok"]) == (lhs, covered)
+
+
 def test_ratio_set_bounds_check():
     rec = ratio_set_bounds_check(fset(0, 1), fset(2, 3))
     assert rec.verdict == "pass"
