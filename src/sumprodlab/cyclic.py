@@ -7,6 +7,7 @@ import sys
 from array import array
 from functools import reduce
 from itertools import compress
+from math import isqrt
 from operator import itemgetter, or_
 from typing import Callable, Iterable, Iterator
 
@@ -61,6 +62,20 @@ def rotations(moving: int, fixed: int, shifts: Iterable[int], n: int) -> Iterato
     bits, shifted down by s and ANDed with ``fixed``, one row at a time."""
     doubled = moving | moving << n
     return (doubled >> s & fixed for s in shifts)
+
+
+def period(bits: int, n: int) -> int:
+    """The least divisor t of n with the mask ``bits`` over Z/n unchanged by
+    rotation by t: its set is then a union of cosets of the subgroup of
+    order n/t, so only the t with n/t dividing the number of set bits are
+    tested, each with one rotation and one compare.  t = n always holds."""
+    count = bits.bit_count()
+    full = (1 << n) - 1
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    for t in small + [n // d for d in reversed(small) if d * d != n]:
+        if not count % (n // t) and (bits << t | bits >> (n - t)) & full == bits:
+            return t
+    return n
 
 
 def indexer(values: list[int], n: int) -> Callable[[int], int]:

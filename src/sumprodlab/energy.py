@@ -8,7 +8,10 @@ no field element built per pair.  Over Q, and over F_p below the rule of
 ``sets._packed_route``, it counts the int keys of the pair kernel, in
 O(|S|^2) time; above the rule (p <= 20,000 and |S|^2 >= b·p·(2 + p/10,000))
 it reads r for every residue from one product of p·b-byte ints, in
-O((p·b)^1.585) time and O(p·b) space.  sigma_A(B) sums r_{B+-B}
+O((p·b)^1.585) time and O(p·b) space.  Where S is fixed by dilations
+G = <ω^t> != {1} and t + 1 rotations of p bits cost less, r is counted at
+one residue per coset of G and at 0, and Σ r^2 = |G|·Σ_j r(ω^j)^2 + r(0)^2
+is read without a pass over F_p.  sigma_A(B) sums r_{B+-B}
 over A, or over F_p on the bitset route |B| rotate-and-AND popcounts.
 A shift overlap |A ∩ (A+α)| = r_{A-A}(α) counts the pairs with
 a1 - a2 = α on the same plain ints, by the routine that also lists the
@@ -70,6 +73,10 @@ def representation_function(
 
 
 def energy_from_counts(counts: Mapping) -> int:
+    """The sum of r(x)² over a representation function: a
+    :class:`sumprodlab.sets.PairCounts` reads it from its own store."""
+    if isinstance(counts, PairCounts):
+        return counts.square_sum()
     return sum(r * r for r in counts.values())
 
 

@@ -7,7 +7,8 @@ projective classes [b - a : c - a] of the coordinate triples (a, b, c) in
 X x Y x Z: the first and second coordinates of a collinear triple are two
 such triples with parallel difference vectors, so the sum of the squared
 class sizes, corrected for zero vectors and repeated points by closed
-forms in the set intersections, is T.  It takes |X||Y||Z| keys and builds
+forms in the set intersections, is T.  It takes |X||Y||Z| keys, or over
+F_p |X/G||Y||Z| with G the dilations that fix all three grids, and builds
 no point.  The brute-force path enumerates point triples and tests the
 3x3 determinant, with no classes or hashing.  When X = Y = Z it tests
 each unordered triple of distinct points once and counts it six times;
@@ -44,7 +45,8 @@ from fractions import Fraction
 from itertools import combinations, repeat
 from typing import NamedTuple
 
-from .sets import ArithSet, _guard, _int_values, _inverses, require_same_mode
+from .field import log_tables
+from .sets import ArithSet, _guard, _int_values, _inverses, _stabilizer, require_same_mode
 
 #: Ceiling on the number of pairs of union grid points a line count covers.
 DEFAULT_PAIR_CEILING = 100_000_000
@@ -141,7 +143,11 @@ def collinear_triples(x: ArithSet, y: ArithSet, z: ArithSet) -> int:
 
     The classes with c != a are counted one a at a time on the keys of
     :func:`_slope_keys`, with the vector negated where c < a; the class
-    [1 : 0] (c = a, b != a) holds I_XZ |Y| - Z0 triples.
+    [1 : 0] (c = a, b != a) holds I_XZ |Y| - Z0 triples.  Over F_p, when a
+    subgroup G != {1} of F_p* fixes X, Y and Z, (a, b, c) -> (ga, gb, gc)
+    keeps every class, so the classes from a and from ga are the same
+    multiset: one a per orbit of G on X is keyed, with weight |G|, and
+    a = 0 with weight 1 (:func:`_orbit_firsts`), |X/G||Y||Z| keys in all.
     """
     if not (len(x) and len(y) and len(z)):
         raise ValueError("all three sets must be nonempty")
@@ -149,11 +155,21 @@ def collinear_triples(x: ArithSet, y: ArithSet, z: ArithSet) -> int:
     _guard("line hashing over point pairs", _union_pairs(values), DEFAULT_PAIR_CEILING)
     slopes = _slope_table(values, p)
     v0, v1, v2 = values
+    weight, firsts = _orbit_firsts(values, p)
     classes: Counter = Counter()
-    for a in v0:
+
+    def key_from(a: int) -> None:
         dys = [b - a for b in v1]
         classes.update(_slope_keys(dys, [c - a for c in v2 if c > a], p, slopes))
         classes.update(_slope_keys([-d for d in dys], [a - c for c in v2 if c < a], p, slopes))
+
+    for a in firsts:
+        key_from(a)
+    if weight > 1:
+        for k in classes:
+            classes[k] *= weight
+        if v0[0] == 0:
+            key_from(0)
     s0, s1, s2 = map(set, values)
     i01, i12, i02, z0 = len(s0 & s1), len(s1 & s2), len(s0 & s2), len(s0 & s1 & s2)
     n0, n1, n2 = map(len, values)
@@ -161,6 +177,29 @@ def collinear_triples(x: ArithSet, y: ArithSet, z: ArithSet) -> int:
     solutions = sum(n * n for n in classes.values()) + unkeyed**2 + 2 * z0 * n0 * n1 * n2 - z0**2
     repeated = (i01 * n2) ** 2 + (i12 * n0) ** 2 + (i02 * n1) ** 2 - 2 * z0**2
     return solutions - repeated
+
+
+def _orbit_firsts(values: list[list[int]], p: int | None) -> tuple[int, list[int]]:
+    """The order of G, the largest subgroup of F_p* that fixes each of the
+    sorted value lists, and the a of the first list that
+    :func:`collinear_triples` keys: with G = {1} (always over Q) every a, else the nonzero a with
+    log a < t, one per orbit of G, where G = <ω^t> with t the lcm of the
+    steps of the lists' stabilizers (:func:`sumprodlab.sets._stabilizer`).
+    The stabilizers are read only where some G != {1} could divide every
+    list's nonzero count and the |X||Y||Z| keys outnumber the p bits of a
+    log mask."""
+    first = values[0]
+    if p is None:
+        return 1, first
+    n = p - 1
+    nonzero = [len(vals) - (vals[0] == 0) for vals in values]
+    if math.gcd(n, *nonzero) == 1 or math.prod(map(len, values)) < p:
+        return 1, first
+    step = math.lcm(*(_stabilizer(vals, p)[0] for vals in {tuple(v): v for v in values}.values()))
+    if step == n:
+        return 1, first
+    _, log = log_tables(p)
+    return n // step, [a for a in first if a and log[a] < step]
 
 
 def _determinant_hits(dx: int, dy: int, offsets: list[tuple[int, int]], p: int | None) -> int:

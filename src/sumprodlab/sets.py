@@ -37,12 +37,17 @@ differences and of discrete logs (:func:`sumprodlab.field.log_tables`) for
 products and quotients.  On (|B|, |B|) the rule also picks whether a
 containment graph and sigma_A(B) are read from |B| rotate-and-AND rows
 (:func:`sumprodlab.cyclic.rotations`).  A representation function
-(:class:`PairCounts`, and so every energy) is counted on one of two routes
-as well, picked by its own rule (:func:`_packed_route`): over F_p with
-p <= 20,000 and m·n >= b·p·(2 + p/10,000), b the bytes per count, from one
-product of the packed indicator vectors (:func:`_packed_counts`);
-otherwise by the pair walk.  The pair walk is the route over Q and the
-oracle of both.
+(:class:`PairCounts`, and so every energy) is counted on one of three
+routes, picked by its own rule (:func:`_packed_route`) from m, n, p and,
+for r_{A op A}, the step t of the dilation stabilizer G = <ω^t> of A
+(:func:`_stabilizer`).  With G != {1}, r is constant on the cosets of G,
+so the orbit route (:func:`_orbit_counts`) counts r at ω^j for j < t and
+at 0 by t + 1 rotate-and-AND popcounts, where those cost less than the
+route they replace.  Otherwise, over F_p with p <= 20,000 and
+m·n >= b·p·(2 + p/10,000), b the bytes per count, r comes from one
+product of the packed indicator vectors (:func:`_packed_counts`), and
+else from the pair walk.  The pair walk is the route over Q and the
+oracle of the other two.
 """
 
 from __future__ import annotations
@@ -361,20 +366,29 @@ class PairCounts(Mapping):
     read-only mapping from field elements to counts.
 
     The counts are kept on the int keys of the pair kernel (:class:`_Keys`),
-    from the packed product or the pair walk, as :func:`_packed_route` picks.
-    A lookup encodes its key: an int, a ``Fraction`` or (over F_p) a
-    ``Residue`` of the same modulus.  A rational off the kernel's lattice
+    from the packed product or the pair walk, as :func:`_packed_route` picks;
+    on the orbit route as (t, [r(ω^j) for j < t], r(0)), from which ``len``
+    and :meth:`square_sum` are read and a lookup of x != 0 reads the count
+    at log x mod t.  Only iteration and :meth:`table` spread them over
+    every residue, once.  A lookup encodes its key: an int, a ``Fraction``
+    or (over F_p) a ``Residue`` of the same modulus.  A rational off the kernel's lattice
     or, over F_p, with no residue mod p, an element of another field, a
     ``str`` or any other object reads as missing.  ``values()`` reads the
     stored counts, and only iterating over the keys builds field elements,
     one per distinct value.
     """
 
-    __slots__ = ("_counts", "_keys")
+    __slots__ = ("_counts", "_keys", "_orbits")
 
     def __init__(self, s: ArithSet, t: ArithSet, op: str):
-        if _packed_route(len(s), len(t), s.p):
-            self._keys = _Keys(s.p, None)
+        self._keys = _Keys(s.p, None)
+        self._orbits = None
+        route, step, logs = _count_route(s, t)
+        if route == "orbit":
+            self._orbits = _orbit_counts(s, op, step, logs)
+            self._counts = None
+            return
+        if route == "packed":
             self._counts = _packed_counts(s, t, op)
             return
         if op not in _COMMUTATIVE or s != t:
@@ -400,11 +414,40 @@ class PairCounts(Mapping):
     def p(self) -> int | None:
         return self._keys.p
 
+    def table(self) -> tuple[_Keys, Mapping]:
+        """The counts on the pair kernel's int keys, with the :class:`_Keys`
+        that reads them: the stored table, or on the orbit route the orbit
+        counts spread over every residue, once."""
+        if self._counts is None:
+            step, row, zero = self._orbits
+            exp, _ = log_tables(self.p)
+            counts = {}
+            for j, c in enumerate(row):
+                if c:
+                    counts.update(dict.fromkeys(exp[j::step], c))
+            if zero:
+                counts[0] = zero
+            self._counts = counts
+        return self._keys, self._counts
+
+    def square_sum(self) -> int:
+        """The sum of r(x)² over every x: on the orbit route
+        |G|·Σ_j r(ω^j)² + r(0)², read without spreading the orbits."""
+        if self._orbits is None:
+            return sum(r * r for r in self._counts.values())
+        step, row, zero = self._orbits
+        return (self.p - 1) // step * sum(c * c for c in row) + zero * zero
+
     def __getitem__(self, x) -> int:
         got = None
         if not isinstance(x, str):
             try:
-                got = self._counts.get(self._keys.key(_canonical(x, self.p)))
+                key = self._keys.key(_canonical(x, self.p))
+                if self._orbits is None:
+                    got = self._counts.get(key)
+                else:
+                    step, row, zero = self._orbits
+                    got = (row[log_tables(self.p)[1][key] % step] if key else zero) or None
             except (ModeMismatchError, TypeError, ValueError, ZeroDivisionError):
                 pass
         if got is None:
@@ -412,13 +455,17 @@ class PairCounts(Mapping):
         return got
 
     def __iter__(self) -> Iterator[FieldElement]:
-        return map(self._keys.value, self._counts)
+        keys, counts = self.table()
+        return map(keys.value, counts)
 
     def __len__(self) -> int:
-        return len(self._counts)
+        if self._orbits is None:
+            return len(self._counts)
+        step, row, zero = self._orbits
+        return (self.p - 1) // step * (step - row.count(0)) + bool(zero)
 
     def values(self):
-        return self._counts.values()
+        return self.table()[1].values()
 
 
 def require_same_mode(s: ArithSet, *others: ArithSet) -> None:
@@ -521,18 +568,115 @@ _PACKED_BASE = 2
 _PACKED_GROWTH = 10_000
 _PACKED_MAX_P = 20_000
 
+#: The constants K and W of the orbit route in :func:`_packed_route`,
+#: measured against the pair walk on cosets of the subgroups of F_p* of
+#: order 10 to 1,200 and index t <= 1,500, for p = 1009, 3121, 10,501,
+#: 20,161, 51,481 and 100,801 (a 2-CPU x86-64 machine, CPython 3.11),
+#: taking the slowest of the four operations on the orbit route and the
+#: fastest on the walk.
+#: A rotate-and-AND popcount of p bits cost about as much as 1 + p/W
+#: pairs, W = 800 (0.2 µs at p = 1009, 0.9 µs at p = 10,501, a pair
+#: 0.07 to 0.15 µs), and the O(p) masks and stabilizer test as K = 64
+#: rotations more.  The measured break-even m² was 225, 780, 3,000, 7,560,
+#: 25,600 and 62,500 at those p, against 296, 863, 3,588, 7,756, 25,095
+#: and 58,929 from (t + K)·(1 + p/W); the rule picked the faster route on
+#: 127 of the 128 cosets with m² >= p.  Where it picks the orbit route and
+#: p <= 20,000, the orbit route was 2.3x to 35x faster than the packed
+#: product.
+_ORBIT_FIXED = 64
+_ORBIT_BITS = 800
 
-def _packed_route(m: int, n: int, p: int | None) -> bool:
+
+def _packed_route(m: int, n: int, p: int | None, step: int | None = None) -> str:
     """The one route rule for a representation function on operands of sizes
-    m and n, read from the operands alone: the packed product over F_p when
-    p <= 20,000 (:data:`_PACKED_MAX_P`) and m·n >= b·p·(2 + p/10,000), b the
-    bytes per field that min(m, n) needs, so that the product of two
-    p·b-byte ints costs less than the m·n pairs it replaces; the pair walk
-    otherwise, and always over Q."""
-    if p is None or p > _PACKED_MAX_P:
-        return False
-    b = cyclic.field_bytes(min(m, n))
-    return m * n * _PACKED_GROWTH >= b * p * (_PACKED_BASE * _PACKED_GROWTH + p)
+    m and n, read from the operands alone: ``"packed"``, the packed product
+    over F_p, when p <= 20,000 (:data:`_PACKED_MAX_P`) and
+    m·n >= b·p·(2 + p/10,000), b the bytes per field that min(m, n) needs,
+    so that the product of two p·b-byte ints costs less than the m·n pairs
+    it replaces; ``"walk"``, the pair walk, otherwise and always over Q.
+
+    ``step`` is the step t of the stabilizer G of the one set both operands
+    are (:func:`_stabilizer`).  With G != {1}, the rule picks ``"orbit"``
+    (:func:`_orbit_counts`) when m·n >= p, so that the O(p) log table
+    stays within the order of the walk as on the bitset route, and its
+    t + 1 rotations cost less than the route they replace:
+    (t + K)·(1 + p/W) <= w, with w the walk's m·n pairs or the packed
+    product's b·p·(2 + p/10,000), and K = 64 and W = 800 measured
+    (:data:`_ORBIT_FIXED`, :data:`_ORBIT_BITS`)."""
+    if p is None:
+        return "walk"
+    walk = m * n * _PACKED_GROWTH
+    packed = cyclic.field_bytes(min(m, n)) * p * (_PACKED_BASE * _PACKED_GROWTH + p)
+    route, cost = ("packed", packed) if p <= _PACKED_MAX_P and walk >= packed else ("walk", walk)
+    if step is not None and step < p - 1 and m * n >= p:
+        if (step + _ORBIT_FIXED) * (p + _ORBIT_BITS) * _PACKED_GROWTH <= _ORBIT_BITS * cost:
+            return "orbit"
+    return route
+
+
+def _count_route(s: ArithSet, t: ArithSet) -> tuple[str, int, int]:
+    """The route :func:`_packed_route` picks for r_{s op t}, with the step and
+    log mask of :func:`_stabilizer` on the orbit route (0 and 0 elsewhere).
+    G's order divides p − 1 and the number of nonzero elements of s, so its
+    step is at least (p − 1) over their gcd; the O(p) stabilizer test is
+    made only where the orbit route would win at that step."""
+    m, n, p = len(s), len(t), s.p
+    if p is not None and m and t == s:
+        least = (p - 1) // gcd(p - 1, m - (s._values[0] == 0))
+        if _packed_route(m, m, p, least) == "orbit":
+            step, logs = _stabilizer(s._values, p)
+            route = _packed_route(m, m, p, step)
+            return (route, step, logs) if route == "orbit" else (route, 0, 0)
+    return _packed_route(m, n, p), 0, 0
+
+
+def _stabilizer(values: Iterable[int], p: int) -> tuple[int, int]:
+    """The step t of the stabilizer G = {g : g·A = A} of the F_p set A with
+    the residues ``values``, and the mask over Z/(p − 1) of the discrete
+    logs of its nonzero elements (:func:`sumprodlab.field.log_tables`) that
+    gives it: G = <ω^t>, of order (p − 1)/t, ω the least primitive root, with t the
+    least period of that mask (:func:`sumprodlab.cyclic.period`).  A with or
+    without 0 is a union of cosets of G; G = {1} reads t = p − 1.  Computed
+    on every call."""
+    _, log = log_tables(p)
+    logs = cyclic.mask([log[v] for v in values if v], p - 1)
+    return cyclic.period(logs, p - 1), logs
+
+
+def _orbit_counts(s: ArithSet, op: str, step: int, logs: int) -> tuple[int, list[int], int]:
+    """The orbit route over F_p for r_{s op s}, s fixed by G = <ω^t>, t =
+    ``step``, with ``logs`` the mask of its nonzero logs: r is constant on
+    each coset ω^j·G, since (u, v) -> (gu, gv) (sums, differences) or
+    (gu, v) (products, quotients) maps the pairs of x onto those of gx.  So
+    (t, [r(ω^j) for j < t], r(0)), from t + 1 rotate-and-AND popcounts
+    (:func:`sumprodlab.cyclic.rotations`).
+
+    Sums and differences rotate a p-bit residue mask by ω^j; products and
+    quotients the log mask by j.  0 is counted by hand, as in
+    :func:`_packed_counts`: 2|s| − 1 products if 0 is in s, and a quotient
+    0/v for each nonzero v.
+    """
+    p = s.p
+    xs = s._values
+    exp, log = log_tables(p)
+    n = p - 1
+    if op in ("plus", "minus"):
+        moving = cyclic.mask(xs, p)
+        # -1 = ω^{n/2} is in G when |G| is even, and then -s = s.
+        even = not n // step % 2
+        fixed = moving if op == "minus" or even else cyclic.mask([-v % p for v in xs], p)
+        rows = cyclic.rotations(moving, fixed, chain((0,), exp[:step]), p)
+        zero, *row = (r.bit_count() for r in rows)
+        return step, row, zero
+    if op == "times":
+        fixed = cyclic.mask([-log[v] % n for v in xs if v], n)
+        zero = 2 * len(xs) - 1 if xs[0] == 0 else 0
+    elif op == "divide":
+        fixed = logs
+        zero = len(xs) - 1 if xs[0] == 0 else 0
+    else:
+        raise ValueError(f"unknown operation {op!r}")
+    return step, [r.bit_count() for r in cyclic.rotations(logs, fixed, range(step), n)], zero
 
 
 def _packed_counts(s: ArithSet, t: ArithSet, op: str) -> dict[int, int]:

@@ -411,8 +411,7 @@ def shift_bound_check(a: ArithSet) -> CheckRecord:
     the first of largest overlap in canonical order.  The differences are
     ordered on the pair kernel's int keys, and only the worst is decoded.
     """
-    overlaps = representation_function(a, a, "minus", ceiling=None)
-    keys, counts = overlaps._keys, overlaps._counts
+    keys, counts = representation_function(a, a, "minus", ceiling=None).table()
     shifts = [key for key in keys.sort(counts) if key]
     if not shifts:
         raise OutsideDomain("no nonzero shift exists (singleton set)")

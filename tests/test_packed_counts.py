@@ -38,7 +38,7 @@ def check(s, t, op):
     want = walk(s, t, op)
     assert sets._packed_counts(s, t, op) == want
     got = PairCounts(s, t, op)
-    assert got._counts == want and len(got) == len(want)
+    assert dict(got.table()[1]) == want and len(got) == len(want)
     assert sorted(got.values()) == sorted(want.values())
     p = s.p
     for x in (0, 1, p - 1):
@@ -85,7 +85,7 @@ def test_seeded_cases_on_both_sides_of_the_rule(p):
                     check(s, t, op)
                     if len(s) ** 2 <= 4 * p:  # the oracle walks |s|^2 pairs
                         check(s, s, op)
-    assert routes == ({False} if p == 2 else {True, False})
+    assert routes == ({"walk"} if p == 2 else {"packed", "walk"})
 
 
 @pytest.mark.parametrize("size", [255, 256])
@@ -96,7 +96,7 @@ def test_counts_at_the_one_and_two_byte_field_boundary(size):
     interval = ArithSet(range(size), p=p)
     other = ArithSet(range(1, size + 1), p=p)
     assert cyclic.field_bytes(size) == (1 if size == 255 else 2)
-    assert sets._packed_route(size, size, p)
+    assert sets._packed_route(size, size, p) == "packed"
     for op in OPS:
         check(interval, interval, op)
         check(interval, other, op)
@@ -147,23 +147,29 @@ def test_an_unknown_operation_is_refused_on_both_routes():
 def test_energies_match_quadruple_enumeration(s):
     """Sets small enough for the |S|^4 oracle and large enough for the rule:
     4 or 5 residues mod 5, 8 to 10 mod 31."""
-    assert sets._packed_route(len(s), len(s), s.p)
+    assert sets._packed_route(len(s), len(s), s.p) == "packed"
     assert additive_energy(s) == energy_quadruples(s, "plus")
     assert multiplicative_energy(s) == energy_quadruples(s, "times")
 
 
 def test_multiplicative_energy_of_h_plus_h_is_pinned():
     """E_x(H + H) for the order-139 subgroup of F_10009: 5838² pairs, far
-    past the default ceiling, counted from one packed product."""
+    past the default ceiling.  H fixes H + H, so the rule counts it on the
+    orbit route, and one packed product agrees."""
     h = multiplicative_subgroup(10009, 139)
     hh = sumset(h, h)
-    assert len(hh) == 5838 and sets._packed_route(len(hh), len(hh), 10009)
+    assert len(hh) == 5838 and sets._count_route(hh, hh)[:2] == ("orbit", 72)
     counts = representation_function(hh, hh, "times", ceiling=None)
-    assert energy_from_counts(counts) == 117_619_369_724
+    packed = sets._packed_counts(hh, hh, "times")
+    assert energy_from_counts(counts) == sum(r * r for r in packed.values()) == 117_619_369_724
 
 
 def refuse(*args):
     raise AssertionError("the packed route was taken")
+
+
+def refuse_walk(*args):
+    raise AssertionError("the pair walk was taken")
 
 
 def test_route_rule_keeps_the_pair_walk(monkeypatch):
@@ -178,11 +184,26 @@ def test_route_rule_keeps_the_pair_walk(monkeypatch):
         additive_energy(a), multiplicative_energy(a)
         sigma(a, a, "plus"), sigma(a, a, "minus")
         shift_intersection(a, a._values[1] - a._values[0])
-    big = dilate(multiplicative_subgroup(10009, 278), 7)
+    # 278 residues of F_10009 with G = {1}: the size of the order-278 coset,
+    # which the orbit route takes instead.
+    big = ArithSet(random.Random(278).sample(range(10009), 278), p=10009)
+    assert sets._stabilizer(big._values, 10009)[0] == 10008
     with pytest.raises(AssertionError, match="packed route"):
         additive_energy(big)
     with pytest.raises(AssertionError, match="packed route"):
         representation_function(big, big, "minus")
+
+
+def test_orbit_route_takes_neither_the_packed_product_nor_the_pair_walk(monkeypatch):
+    """The mirror of the pin above: the order-278 coset of F_10009 is
+    counted with both other routes refused, to the values of the CI pin."""
+    big = dilate(multiplicative_subgroup(10009, 278), 7)
+    monkeypatch.setattr(sets, "_packed_counts", refuse)
+    monkeypatch.setattr(sets, "_pair_rows", refuse_walk)
+    assert additive_energy(big) == 818154
+    assert multiplicative_energy(big) == 278**3
+    differences = representation_function(big, big, "minus")
+    assert len(differences) == 9731 and differences[0] == 278
 
 
 @settings(max_examples=200, deadline=None)
