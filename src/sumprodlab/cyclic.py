@@ -9,7 +9,7 @@ from functools import reduce
 from itertools import compress
 from math import isqrt
 from operator import itemgetter, or_
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Collection, Iterable, Iterator
 
 #: ``bytes.translate`` table: the digits of ``format`` to bytes for ``compress``.
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -22,8 +22,23 @@ _OFFSETS = reduce(lambda table, k: table + [bits + (k,) for bits in table], rang
 _FIELDS = {array(code).itemsize: code for code in "IHB"}
 
 
-def mask(values: Iterable[int], n: int) -> int:
-    """The int with bit v set for each v of ``values``, all in [0, n)."""
+def mask(values: Collection[int], n: int) -> int:
+    """The int with bit v set for each v of ``values``, all in [0, n): from
+    packed bytes at most 1/25 full, else from n digits (the costs meet near
+    4.5 % on 10,008 and 100,003 bits)."""
+    if 25 * len(values) <= n:
+        return _sparse_mask(values, n)
+    return _dense_mask(values, n)
+
+
+def _sparse_mask(values: Iterable[int], n: int) -> int:
+    data = bytearray((n + 7) >> 3)
+    for v in values:
+        data[v >> 3] |= 1 << (v & 7)
+    return int.from_bytes(data, "little")
+
+
+def _dense_mask(values: Iterable[int], n: int) -> int:
     digits = bytearray(b"0") * n
     for v in values:
         digits[n - 1 - v] = 49  # ord("1")
@@ -49,10 +64,14 @@ def members(bits: int) -> list[int]:
 def sums(xs: list[int], ys: list[int], n: int) -> int:
     """The mask over Z/n of {x + y mod n : x in xs, y in ys}: the mask of
     the longer list shifted by each element of the shorter, OR-ed, and
-    folded once mod n, which makes each shift a rotation."""
+    folded once mod n, which makes each shift a rotation.  A mask of period
+    t (:func:`period`) is shifted once per residue mod t: on discrete logs,
+    once per orbit of the dilations that fix the longer set."""
     if len(xs) > len(ys):
         xs, ys = ys, xs
-    acc = reduce(or_, map(mask(ys, n).__lshift__, xs), 0)
+    bits = mask(ys, n)
+    t = period(bits, n)
+    acc = reduce(or_, map(bits.__lshift__, {x % t for x in xs}), 0)
     return (acc | acc >> n) & ((1 << n) - 1)
 
 

@@ -12,7 +12,8 @@ O((p·b)^1.585) time and O(p·b) space.  Where S is fixed by dilations
 G = <ω^t> != {1} and t + 1 rotations of p bits cost less, r is counted at
 one residue per coset of G and at 0, and Σ r^2 = |G|·Σ_j r(ω^j)^2 + r(0)^2
 is read without a pass over F_p.  sigma_A(B) sums r_{B+-B}
-over A, or over F_p on the bitset route |B| rotate-and-AND popcounts.
+over A, or over F_p on the bitset route |B| rotate-and-AND popcounts,
+or t + 1 on its orbit route.
 A shift overlap |A ∩ (A+α)| = r_{A-A}(α) counts the pairs with
 a1 - a2 = α on the same plain ints, by the routine that also lists the
 1 - x = a1 - a2 solutions of :mod:`sumprodlab.popdiff`; its bound reads M
@@ -29,7 +30,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import cyclic
-from .field import FieldElement, coerce_element
+from .field import FieldElement, coerce_element, log_tables
 from .sets import (
     DEFAULT_ELEMENT_CEILING,
     ArithSet,
@@ -39,6 +40,8 @@ from .sets import (
     _guard,
     _int_values,
     _Keys,
+    _orbit_counts,
+    _orbit_firsts,
     _pair_rows,
     aa_over_a,
     multiplicative_doubling,
@@ -126,7 +129,8 @@ def sigma(a: ArithSet, b: ArithSet, op: str = "plus") -> int:
     ``plus``  counts (b1, b2) with b1 + b2 in A;
     ``minus`` counts (b1, b2) with b1 - b2 in A.
     Both are the sum over A of the representation function r_{B+-B}; over
-    F_p on the bitset route, of |B| shifts of 2p bits (:func:`_rotated_sigma`).
+    F_p on the bitset route, of |B| shifts of 2p bits (:func:`_rotated_sigma`)
+    or of t + 1 on the orbit route of :func:`_sigma`.
     """
     if len(a) == 0 or len(b) == 0:
         raise ValueError("sigma requires nonempty sets")
@@ -137,9 +141,21 @@ def sigma(a: ArithSet, b: ArithSet, op: str = "plus") -> int:
 
 
 def _sigma(a: ArithSet, b: ArithSet, op: str) -> tuple[int, bool]:
-    """sigma_A(B) and whether A lies inside B op B, on one route."""
-    if _bitset_route(len(b), len(b), b.p):
-        return _rotated_sigma(a, b, op)
+    """sigma_A(B) and whether A lies inside B op B, on one route.  On the
+    bitset route with dilations G != {1} fixing A and B
+    (:func:`sumprodlab.sets._orbit_firsts`), r_{B op B} is constant on G's
+    orbits: sigma = r(0)·[0 in A] + |G|·Σ r(a), one a per orbit of A."""
+    p = b.p
+    if _bitset_route(len(b), len(b), p):
+        weight, firsts = _orbit_firsts([a._values, b._values], p, len(b))
+        if weight == 1:
+            return _rotated_sigma(a, b, op)
+        _, row, zero = _orbit_counts(b, op, (p - 1) // weight, 0)
+        log = log_tables(p)[1]
+        hits = [row[log[x]] for x in firsts]
+        if a._values[0]:
+            return weight * sum(hits), all(hits)
+        return weight * sum(hits) + zero, all(hits) and zero > 0
     counts = representation_function(b, b, op, ceiling=None)
     hits = [counts.get(x, 0) for x in a]
     return sum(hits), all(hits)

@@ -20,9 +20,9 @@ from itertools import compress
 from typing import NamedTuple
 
 from .cyclic import indexer, mask, rotations
-from .field import FieldElement, OutsideDomain
+from .field import FieldElement, OutsideDomain, log_tables
 from .energy import representation_function
-from .sets import ArithSet, _bitset_route, _pair_rows, require_same_mode
+from .sets import ArithSet, _bitset_route, _orbit_firsts, _pair_rows, require_same_mode
 
 
 class ContainmentGraph:
@@ -33,8 +33,10 @@ class ContainmentGraph:
     operand sizes (|B|, |B|) and the modulus.  On the bitset route row i is
     one rotate-and-AND of residue masks, (A − b_i) ∩ B (:func:`_rotated_rows`),
     and only a nonzero row is moved to indices of B, so an edgeless graph
-    costs |B| shifts of a 2p-bit int instead of |B|² membership tests.  The
-    pair walk, the oracle, tests each sum b_i + b_j against A.
+    costs |B| shifts of a 2p-bit int instead of |B|² membership tests, and
+    t shifts on its orbit route (:func:`_orbit_rows`) where dilations
+    G = <ω^t> fix A and B.  The pair walk, the oracle, tests each sum
+    b_i + b_j against A.
     """
 
     __slots__ = ("basis", "target", "adjacency", "edges")
@@ -45,7 +47,9 @@ class ContainmentGraph:
         require_same_mode(basis, target)
         n = len(basis)
         if _bitset_route(n, n, basis.p):
-            masks = _rotated_rows(basis, target)
+            masks = _orbit_rows(basis, target)
+            if masks is None:
+                masks = _rotated_rows(basis, target)
         else:
             rows, keys = _pair_rows(basis, basis, "plus")
             # Over Q a sum of B lies on the lattice of B's common denominator,
@@ -59,7 +63,7 @@ class ContainmentGraph:
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "adjacency", tuple(masks))
-        object.__setattr__(self, "edges", sum(mask.bit_count() for mask in masks))
+        object.__setattr__(self, "edges", sum(map(int.bit_count, masks)))
 
     def __setattr__(self, *args):
         raise AttributeError("ContainmentGraph is immutable")
@@ -93,6 +97,28 @@ def _rotated_rows(basis: ArithSet, target: ArithSet) -> list[int]:
     index = indexer(values, p)
     rows = rotations(mask(target._values, p), mask(values, p), values, p)
     return [index(row) if row else 0 for row in rows]
+
+
+def _orbit_rows(basis: ArithSet, target: ArithSet) -> list[int] | None:
+    """:func:`_rotated_rows` where dilations G != {1} fix A and B
+    (:func:`sumprodlab.sets._orbit_firsts`), else ``None``: row(g·b) =
+    g·row(b), so only 0 and the orbits of a nonzero first row are rotated."""
+    p = basis.p
+    values = basis._values
+    weight, firsts = _orbit_firsts([values, target._values], p, len(values))
+    if weight == 1:
+        return None
+    step = (p - 1) // weight
+    exp, log = log_tables(p)
+    moving = mask(target._values, p)
+    fixed = moving if target is basis else mask(values, p)
+    live = {b for b, row in zip(firsts, rotations(moving, fixed, firsts, p)) if row}
+    shifts = [v for v in values if not v or exp[log[v] % step] in live]
+    rows = dict(zip(shifts, rotations(moving, fixed, shifts, p)))
+    if not any(rows.values()):
+        return [0] * len(values)
+    index = indexer(values, p)
+    return [index(row) if (row := rows.get(v)) else 0 for v in values]
 
 
 def build_containment_graph(basis: ArithSet, target: ArithSet) -> ContainmentGraph:

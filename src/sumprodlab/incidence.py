@@ -45,8 +45,7 @@ from fractions import Fraction
 from itertools import combinations, repeat
 from typing import NamedTuple
 
-from .field import log_tables
-from .sets import ArithSet, _guard, _int_values, _inverses, _stabilizer, require_same_mode
+from .sets import ArithSet, _guard, _int_values, _inverses, _orbit_firsts, require_same_mode
 
 #: Ceiling on the number of pairs of union grid points a line count covers.
 DEFAULT_PAIR_CEILING = 100_000_000
@@ -147,7 +146,8 @@ def collinear_triples(x: ArithSet, y: ArithSet, z: ArithSet) -> int:
     subgroup G != {1} of F_p* fixes X, Y and Z, (a, b, c) -> (ga, gb, gc)
     keeps every class, so the classes from a and from ga are the same
     multiset: one a per orbit of G on X is keyed, with weight |G|, and
-    a = 0 with weight 1 (:func:`_orbit_firsts`), |X/G||Y||Z| keys in all.
+    a = 0 with weight 1 (:func:`sumprodlab.sets._orbit_firsts`), |X/G||Y||Z|
+    keys in all.
     """
     if not (len(x) and len(y) and len(z)):
         raise ValueError("all three sets must be nonempty")
@@ -177,29 +177,6 @@ def collinear_triples(x: ArithSet, y: ArithSet, z: ArithSet) -> int:
     solutions = sum(n * n for n in classes.values()) + unkeyed**2 + 2 * z0 * n0 * n1 * n2 - z0**2
     repeated = (i01 * n2) ** 2 + (i12 * n0) ** 2 + (i02 * n1) ** 2 - 2 * z0**2
     return solutions - repeated
-
-
-def _orbit_firsts(values: list[list[int]], p: int | None) -> tuple[int, list[int]]:
-    """The order of G, the largest subgroup of F_p* that fixes each of the
-    sorted value lists, and the a of the first list that
-    :func:`collinear_triples` keys: with G = {1} (always over Q) every a, else the nonzero a with
-    log a < t, one per orbit of G, where G = <ω^t> with t the lcm of the
-    steps of the lists' stabilizers (:func:`sumprodlab.sets._stabilizer`).
-    The stabilizers are read only where some G != {1} could divide every
-    list's nonzero count and the |X||Y||Z| keys outnumber the p bits of a
-    log mask."""
-    first = values[0]
-    if p is None:
-        return 1, first
-    n = p - 1
-    nonzero = [len(vals) - (vals[0] == 0) for vals in values]
-    if math.gcd(n, *nonzero) == 1 or math.prod(map(len, values)) < p:
-        return 1, first
-    step = math.lcm(*(_stabilizer(vals, p)[0] for vals in {tuple(v): v for v in values}.values()))
-    if step == n:
-        return 1, first
-    _, log = log_tables(p)
-    return n // step, [a for a in first if a and log[a] < step]
 
 
 def _determinant_hits(dx: int, dy: int, offsets: list[tuple[int, int]], p: int | None) -> int:

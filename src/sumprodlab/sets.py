@@ -31,19 +31,20 @@ operand sizes m, n and the modulus alone (:func:`_bitset_route`, which
 :mod:`sumprodlab.graph` also calls): the bitset route when the field is
 F_p, m·n >= p and p <= C·max(m, n), with the crossover constant
 C = :data:`_BITSET_SPAN` = 128; the pair walk otherwise, and always over Q.
-The bitset route (:func:`_rotated`) ORs min(m, n) rotations of one
+The bitset route (:func:`_rotated`) ORs at most min(m, n) rotations of one
 operand's bitset (:mod:`sumprodlab.cyclic`), of residues for sums and
 differences and of discrete logs (:func:`sumprodlab.field.log_tables`) for
 products and quotients.  On (|B|, |B|) the rule also picks whether a
 containment graph and sigma_A(B) are read from |B| rotate-and-AND rows
-(:func:`sumprodlab.cyclic.rotations`).  A representation function
-(:class:`PairCounts`, and so every energy) is counted on one of three
-routes, picked by its own rule (:func:`_packed_route`) from m, n, p and,
-for r_{A op A}, the step t of the dilation stabilizer G = <ω^t> of A
-(:func:`_stabilizer`).  With G != {1}, r is constant on the cosets of G,
-so the orbit route (:func:`_orbit_counts`) counts r at ω^j for j < t and
-at 0 by t + 1 rotate-and-AND popcounts, where those cost less than the
-route they replace.  Otherwise, over F_p with p <= 20,000 and
+(:func:`sumprodlab.cyclic.rotations`), or per orbit (:func:`_orbit_firsts`).
+A representation function (:class:`PairCounts`, and so every energy) is
+counted on one of three routes, picked by its own rule
+(:func:`_packed_route`) from m, n, p and, for r_{A op A}, the step t of
+the dilation stabilizer G = <ω^t> of A (:func:`_stabilizer`).  With
+G != {1}, r is constant on the cosets of G, so the orbit route
+(:func:`_orbit_counts`) counts r at ω^j for j < t and at 0 by t + 1
+rotate-and-AND popcounts, where those cost less than the route they
+replace.  Otherwise, over F_p with p <= 20,000 and
 m·n >= b·p·(2 + p/10,000), b the bytes per count, r comes from one
 product of the packed indicator vectors (:func:`_packed_counts`), and
 else from the pair walk.  The pair walk is the route over Q and the
@@ -526,7 +527,7 @@ def _bitset_route(m: int, n: int, p: int | None) -> bool:
 
 def _rotated(s: ArithSet, t: ArithSet, op: str) -> list[int]:
     """The bitset route over F_p: the residues of ``s op t`` in canonical
-    order, from min(|s|, |t|) rotations of the other operand's bitset.
+    order, from at most min(|s|, |t|) rotations of the other operand's bitset.
 
     Sums and differences rotate a p-bit mask of residues.  Products and
     quotients rotate a (p − 1)-bit mask of the discrete logs of the nonzero
@@ -641,6 +642,27 @@ def _stabilizer(values: Iterable[int], p: int) -> tuple[int, int]:
     _, log = log_tables(p)
     logs = cyclic.mask([log[v] for v in values if v], p - 1)
     return cyclic.period(logs, p - 1), logs
+
+
+def _orbit_firsts(values: list, p: int | None, budget: float = math.inf) -> tuple[int, list]:
+    """|G|, G the largest subgroup of F_p* fixing each sorted value list,
+    and the a of the first list to take: one nonzero a per orbit, log a < t
+    for G = <ω^t>, t the lcm of the lists' steps (:func:`_stabilizer`); with
+    G = {1}, always over Q, every a.  G is read only where the gcd of p − 1
+    and the nonzero counts allows G != {1}, the sizes multiply to p or more,
+    and t + K (:data:`_ORBIT_FIXED`) fits the ``budget`` of p-bit rotations."""
+    first = values[0]
+    if p is None:
+        return 1, first
+    n = p - 1
+    least = n // gcd(n, *(len(vals) - (vals[0] == 0) for vals in values))
+    if least == n or least + _ORBIT_FIXED > budget or math.prod(map(len, values)) < p:
+        return 1, first
+    step = math.lcm(*(_stabilizer(vals, p)[0] for vals in {tuple(v): v for v in values}.values()))
+    if step == n or step + _ORBIT_FIXED > budget:
+        return 1, first
+    _, log = log_tables(p)
+    return n // step, [a for a in first if a and log[a] < step]
 
 
 def _orbit_counts(s: ArithSet, op: str, step: int, logs: int) -> tuple[int, list[int], int]:

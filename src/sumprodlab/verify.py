@@ -30,13 +30,12 @@ from .field import CeilingExceeded, OutsideDomain
 from .sets import (
     DEFAULT_ELEMENT_CEILING,
     ArithSet,
+    _guard,
     aa_over_a,
-    difference_set,
     multiplicative_doubling,
     negate,
     ratio_set,
     require_same_mode,
-    sumset,
 )
 from .energy import (
     _sigma,
@@ -88,6 +87,16 @@ def _dec(x) -> Decimal:
     return Decimal(x.numerator) / x.denominator
 
 
+def _power(n: int, e: Decimal) -> Decimal:
+    """n^e, n >= 1, as exp(e·ln n): in :data:`_HP` the float of ``**``."""
+    return (Decimal(n).ln() * e).exp()
+
+
+def _five_halves(n: int) -> float:
+    """n^{5/2} as n²·√n in :data:`_HP`: the float of ``**``."""
+    return _hp(lambda: n * n * Decimal(n).sqrt())
+
+
 class ExponentLedger(NamedTuple):
     """Exact exponent bookkeeping for the basis-size chain.
 
@@ -133,15 +142,16 @@ class CheckRecord(NamedTuple):
 def stats_record(a: ArithSet) -> CheckRecord:
     """All headline statistics of one set, exactly.
 
-    |A+A| and E_+(A) are read from one representation function, |A*A| and
-    E_x(A) from another; each is dropped before the next pair walk.
+    |A+A| and E_+(A) are read from one representation function, |A-A| from
+    a second, |A*A| and E_x(A) from a third, each dropped before the next;
+    no set is built for a size (on the orbit route, t + 1 popcounts each).
     """
     details: dict = {"size": len(a)}
     counts = representation_function(a, a, "plus")
     details["sumset"] = len(counts)
     additive = energy_from_counts(counts)
     del counts
-    details["difference_set"] = len(difference_set(a, a, DEFAULT_ELEMENT_CEILING))
+    details["difference_set"] = len(representation_function(a, a, "minus"))
     counts = representation_function(a, a, "times")
     details["product_set"] = len(counts)
     multiplicative = energy_from_counts(counts)
@@ -171,7 +181,7 @@ def stats_record(a: ArithSet) -> CheckRecord:
 def ratio_energy_check(a: ArithSet) -> CheckRecord:
     """E_+((AA)/A) against the |A|^{5/2} shape (ratio-only)."""
     energy, quotient = ratio_quotient_energy(a)
-    bound = _hp(lambda: Decimal(len(a)) ** Decimal("2.5"))
+    bound = _five_halves(len(a))
     return CheckRecord(
         claim="ratio_energy",
         provenance="energy.ratio_quotient_energy",
@@ -186,9 +196,16 @@ def ratio_energy_check(a: ArithSet) -> CheckRecord:
 
 
 def sumset_energy_check(b: ArithSet, sign: str = "plus") -> CheckRecord:
-    """E_x(B +- B) against |B|^6 (ratio-only, with the instance exponent)."""
-    build = sumset if sign == "plus" else difference_set
-    x = build(b, b, DEFAULT_ELEMENT_CEILING)
+    """E_x(B +- B) against |B|^6 (ratio-only, with the instance exponent).
+
+    |B +- B| is read from r_{B+-B} and checked against the energy's
+    ceiling before X is built from the support of r.
+    """
+    _guard("sumset" if sign == "plus" else "difference set", len(b) ** 2, DEFAULT_ELEMENT_CEILING)
+    counts = representation_function(b, b, sign, ceiling=None)
+    _guard("representation function", len(counts) ** 2, DEFAULT_ELEMENT_CEILING)
+    keys, table = counts.table()
+    x = ArithSet._from_values(keys.ordered(table), b.p, ordered=True)
     energy = multiplicative_energy(x)
     rhs = len(b) ** 6
     details = {"sign": sign, "sumset_size": len(x)}
@@ -291,7 +308,7 @@ def basis_chain_check(
     threshold_exact = Fraction(e * e, len(b) ** 3)
     assembled_floor = Fraction(e**10 * len(a), len(b) ** 17)
     chain_sq = Fraction(len(a) ** 3 * len(b) ** 34, e**20)  # (L^10 K^17)^2
-    target_sq = _hp(lambda: Decimal(len(a)) ** (2 * _dec(MAX_GAIN)))
+    target_sq = _hp(lambda: _power(len(a), 2 * _dec(MAX_GAIN)))
     exact_ok = (
         bound.holds
         and cert.cauchy_schwarz_ok
@@ -436,7 +453,7 @@ def difference_count_check(a: ArithSet, b: ArithSet | None = None) -> CheckRecor
     require_same_mode(a, b)
     # sigma_A(B) and whether A lies inside B - B, from one route of sigma.
     value, hypothesis_ok = _sigma(a, b, "minus")
-    rhs = _hp(lambda: Decimal(len(b)) ** 2 * Decimal(len(a)) ** (-_dec(MAX_GAIN) / 10))
+    rhs = _hp(lambda: len(b) ** 2 * _power(len(a), -_dec(MAX_GAIN) / 10))
     return CheckRecord(
         claim="difference_count",
         provenance="energy.sigma",

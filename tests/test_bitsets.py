@@ -221,13 +221,21 @@ def test_route_rule_keeps_the_pair_walk(monkeypatch):
         translate(a, 5), dilate(a, 3), negate(a), normalize(a)
     with pytest.raises(AssertionError, match="bitset route"):
         sumset(big, big)
-    with pytest.raises(AssertionError, match="bitset route"):
-        ContainmentGraph(big, big)
+    # The order-278 coset is fixed by its own subgroup: its graph and sigma
+    # take the orbit route, with the |B| rotations and the pair walk refused.
+    monkeypatch.setattr(sets, "_pair_rows", refuse_walk)
+    monkeypatch.setattr(graph, "_pair_rows", refuse_walk)
+    assert ContainmentGraph(big, big).edges == 0
     for op in ("plus", "minus"):
-        with pytest.raises(AssertionError, match="bitset route"):
-            sigma(big, big, op)
-    with pytest.raises(AssertionError, match="bitset route"):
-        difference_count_check(big)
+        assert sigma(big, big, op) == 0
+    rec = difference_count_check(big)
+    assert (rec.lhs, rec.details["hypothesis_ok"]) == (0, False)
+    hh = ArithSet({u + v for u in big._values for v in big._values}, p=10009)
+    assert ContainmentGraph(big, hh).edges == sigma(hh, big) == 278**2
+
+
+def refuse_walk(*args):
+    raise AssertionError("the pair walk was taken")
 
 
 @pytest.mark.parametrize("p", [2, 3, 31, 1009, 10009])

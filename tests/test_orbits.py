@@ -1,9 +1,12 @@
-"""The dilation stabilizer of an F_p set and the two orbit routes built on
-it: representation functions counted at one residue per orbit
-(:func:`sumprodlab.sets._orbit_counts`) and collinear triples keyed at one
-a per orbit (:func:`sumprodlab.incidence.collinear_triples`).  Each is
-held against the unreduced route, and the stabilizer against a brute-force
-search, on unions of cosets of random subgroups, with and without 0."""
+"""The dilation stabilizer of an F_p set and the orbit routes built on it:
+representation functions counted at one residue per orbit
+(:func:`sumprodlab.sets._orbit_counts`), and from them sigma_A(B) and the
+set sizes of ``stats``; collinear triples keyed at one a per orbit
+(:func:`sumprodlab.incidence.collinear_triples`); and containment-graph
+rows rotated only on the orbits of a nonzero row
+(:func:`sumprodlab.graph._orbit_rows`).  Each is held against the
+unreduced route, and the stabilizer against a brute-force search, on
+unions of cosets of random subgroups, with and without 0."""
 
 import random
 from collections import Counter
@@ -13,11 +16,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sumprodlab import cyclic, incidence, sets
-from sumprodlab.energy import energy_from_counts, representation_function
+from sumprodlab import cyclic, energy, graph, incidence, sets, verify
+from sumprodlab.energy import energy_from_counts, multiplicative_energy, representation_function
 from sumprodlab.families import multiplicative_subgroup
 from sumprodlab.field import CeilingExceeded, Residue, log_tables
-from sumprodlab.sets import ArithSet, PairCounts, dilate, negate, sumset
+from sumprodlab.graph import ContainmentGraph
+from sumprodlab.sets import (
+    ArithSet,
+    PairCounts,
+    difference_set,
+    dilate,
+    negate,
+    product_set,
+    sumset,
+)
 
 OPS = ("plus", "minus", "times", "divide")
 PRIMES = (2, 3, 5, 7, 11, 13, 29, 31, 37, 41, 61, 73, 101, 151, 181, 199)
@@ -196,3 +208,113 @@ def test_multiplicative_energy_of_h_plus_h_is_pinned_at_order_278():
     assert len(hh) == 9731 and sets._count_route(hh, hh)[:2] == ("orbit", 36)
     counts = representation_function(hh, hh, "times", ceiling=None)
     assert energy_from_counts(counts) == 895_978_954_641
+
+
+def brute_orbits(values, p, budget=None):
+    """:func:`sumprodlab.sets._orbit_firsts` with no cost rule: G is the
+    intersection of the brute-force stabilizers of the lists."""
+    common = set.intersection(*(brute_stabilizer(ArithSet(v, p=p)) for v in values))
+    step = (p - 1) // len(common)
+    _, log = log_tables(p)
+    return len(common), [a for a in values[0] if a and log[a] < step]
+
+
+@st.composite
+def coset_pairs(draw):
+    """A and B, unions of cosets of F_p each of its own random subgroup, the
+    two subgroups sharing one of order at least 2."""
+    p = draw(st.sampled_from(PRIMES[1:]))
+    base = draw(st.sampled_from([d for d in range(2, p) if (p - 1) % d == 0]))
+    return draw(unions(primes=(p,), base=base)), draw(unions(primes=(p,), base=base))
+
+
+def walk_rows(basis, target):
+    """The containment-graph rows from testing every pair sum against A."""
+    p, index = basis.p, target._index
+    return [
+        sum(1 << j for j, v in enumerate(basis._values) if (u + v) % p in index)
+        for u in basis._values
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(coset_pairs())
+def test_orbit_graph_rows_match_the_pair_walk(pair):
+    a, b = pair
+    assume(len(b) >= 2)  # the index map of the rows needs two residues
+    want = walk_rows(b, a)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph, "_orbit_firsts", brute_orbits)
+        assert graph._orbit_rows(b, a) == want
+        assert graph._orbit_rows(b, b) == walk_rows(b, b)
+    got = ContainmentGraph(b, a)
+    assert list(got.adjacency) == want and got.edges == sum(r.bit_count() for r in want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(coset_pairs(), st.sampled_from(["plus", "minus"]))
+def test_orbit_sigma_matches_the_rotated_route_and_the_pair_walk(pair, op):
+    a, b = pair
+    p, sign = a.p, 1 if op == "plus" else -1
+    hits = Counter((u + sign * v) % p for u in b._values for v in b._values)
+    want = sum(hits[x] for x in a._values), all(hits[x] for x in a._values)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(energy, "_bitset_route", lambda *_: True)
+        patch.setattr(energy, "_orbit_firsts", brute_orbits)
+        assert energy._sigma(a, b, op) == energy._rotated_sigma(a, b, op) == want
+    assert energy._sigma(a, b, op) == want
+
+
+def test_orbit_sigma_reads_r_at_zero_apart():
+    """0 in A, and no two elements of B sum to 0 (the coset of odd order
+    5 in F_31 misses its negation): every pair of B sums into A = {0} ∪
+    (B + B), yet A is not inside B + B."""
+    b = coset_union(31, 5, [0], False, 3)
+    a = ArithSet([0, *sumset(b, b)._values], p=31)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(energy, "_bitset_route", lambda *_: True)
+        patch.setattr(energy, "_orbit_firsts", brute_orbits)
+        assert energy._sigma(a, b, "plus") == energy._rotated_sigma(a, b, "plus") == (25, False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(coset_pairs(), st.sampled_from(OPS))
+def test_set_operations_of_coset_unions_match_the_pair_walk(pair, op):
+    """The bitset route shifts a log mask of period t once per residue mod t
+    (:func:`sumprodlab.cyclic.sums`); the sets equal the pair walk's."""
+    s, t = pair
+    rows, keys = sets._pair_rows(s, t, op)
+    assert sets._rotated(s, t, op) == sorted(set(chain.from_iterable(rows)))
+
+
+def every_orbit(s, t):
+    """The orbit route for every representation function, whatever the rule."""
+    if t != s:
+        return sets._packed_route(len(s), len(t), s.p), 0, 0
+    return ("orbit", *sets._stabilizer(s._values, s.p))
+
+
+@settings(max_examples=100, deadline=None)
+@given(unions())
+def test_stats_sizes_match_the_materialized_sets(a):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sets, "_count_route", every_orbit)
+        stats = verify.stats_record(a).details
+        plus, minus = (verify.sumset_energy_check(a, sign) for sign in ("plus", "minus"))
+    assert stats["sumset"] == len(sumset(a, a)) == plus.size_b
+    assert stats["difference_set"] == len(difference_set(a, a)) == minus.size_b
+    assert stats["product_set"] == len(product_set(a, a))
+    assert plus.lhs == multiplicative_energy(sumset(a, a))
+    assert minus.lhs == multiplicative_energy(difference_set(a, a))
+
+
+@pytest.mark.parametrize("order", [139, 278])
+def test_benchmark_cosets_take_the_orbit_route_for_graphs_and_sigma(order):
+    h = dilate(multiplicative_subgroup(10009, order), 11)
+    weight, firsts = sets._orbit_firsts([h._values] * 2, 10009, order)
+    assert weight == order and len(firsts) == 1  # h is one coset of its stabilizer
+    assert graph._orbit_rows(h, h) == [0] * order
+    assert energy._sigma(h, h, "minus") == (0, False)
+    hh = sumset(h, h)
+    assert graph._orbit_rows(h, hh) == [(1 << order) - 1] * order
+    assert energy._sigma(hh, h, "plus") == (order**2, True)

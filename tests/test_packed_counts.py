@@ -215,6 +215,19 @@ def test_members_reads_sparse_and_dense_masks(case):
     assert cyclic.members(cyclic.mask(values, n)) == sorted(values)
 
 
+@pytest.mark.parametrize("n", [1, 8, 9, 1000, 10500])
+def test_mask_builds_agree_on_both_sides_of_the_density_rule(n):
+    """The bit-packed bytes build of sparse masks and the digit parse of
+    dense ones, on empty, sparse, dense and full inputs and the top bit."""
+    rng = random.Random(n)
+    cases = [[], [n - 1], [0, n - 1], list(range(n))]
+    cases += [rng.sample(range(n), k) for k in {n // 100, n // 25, n // 25 + 1, n // 2}]
+    for values in cases:
+        want = sum(1 << v for v in set(values))
+        assert cyclic._sparse_mask(values, n) == cyclic._dense_mask(values, n) == want
+        assert cyclic.mask(values, n) == want
+
+
 def test_members_on_both_sides_of_a_quarter():
     rng = random.Random(4)
     for k in (0, 1, 248, 249, 250, 999):  # 250 of 1000 bits is the last sparse read

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 from itertools import islice
 from types import SimpleNamespace
@@ -152,6 +153,51 @@ def test_report_only_bounds_are_pinned(spec):
         ctx.prec = 5
         ctx.traps[decimal.Inexact] = True
         assert columns() == PINNED_BOUNDS[spec]
+
+
+def _old_forms(m, n):
+    """The three report-only powers in their ``**`` forms."""
+    with decimal.localcontext(verify._HP):
+        gain = verify._dec(verify.MAX_GAIN)
+        return (
+            float(Decimal(n) ** Decimal("2.5")),
+            float(Decimal(m) ** 2 * Decimal(n) ** (-gain / 10)),
+            float(Decimal(n) ** (2 * gain)),
+        )
+
+
+def _new_forms(m, n):
+    """The same powers as the claims evaluate them."""
+    gain = verify.MAX_GAIN
+    return (
+        verify._five_halves(n),
+        verify._hp(lambda: m * m * verify._power(n, -verify._dec(gain) / 10)),
+        verify._hp(lambda: verify._power(n, 2 * verify._dec(gain))),
+    )
+
+
+def test_report_only_powers_keep_the_floats_of_the_power_operator():
+    """n²·√n and exp(e·ln n) round to the floats of n ** 2.5 and n ** e,
+    for every n <= 5,000 and a seeded sample up to 200,000."""
+    rng = random.Random(32)
+    sizes = [(n, n) for n in range(1, 5001)]
+    sizes += [(rng.randrange(1, 200_001), rng.randrange(1, 200_001)) for _ in range(300)]
+    for m, n in sizes:
+        assert _new_forms(m, n) == _old_forms(m, n), (m, n)
+    a = generate(parse_family("subgroup:p=1009,d=28"))
+    old = _old_forms(28, 28)
+    assert (ratio_energy_check(a).rhs, difference_count_check(a).rhs) == old[:2]
+
+
+def test_mult_energy_plus_refuses_before_building_the_sumset(monkeypatch):
+    """|H + H| = 5,838 on the order-139 coset of F_10009 is read from the
+    orbit counts, and refused at the energy's ceiling before H + H is built."""
+    monkeypatch.setattr(sets, "_rotated", _no_walk)
+    monkeypatch.setattr(sets.PairCounts, "table", _no_walk)
+    rec = run_claim("mult_energy_plus", generate(parse_family("subgroup:p=10009,d=139")))
+    assert (rec.verdict, rec.lhs, rec.rhs) == ("ceiling", 5838**2, 2_000_000)
+    want = f"representation function: would need {5838**2} items, ceiling is 2000000"
+    assert rec.details["error"] == want
 
 
 def test_import_loads_only_the_standard_library():
